@@ -17,6 +17,7 @@ from pathlib import Path
 from .gateway import ConfigError, ZtrvGateway, load_config
 from .mandate import IssuerKey, Keystore
 from .simharness import (
+    DEFAULT_CONCURRENCY,
     AttackKind,
     ablation_run,
     attack_eval,
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="legitimate requests (default %(default)s)")
     p.add_argument("--replays", type=_positive_int, default=100,
                    help="attack requests per scenario (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int, default=16,
+    p.add_argument("--concurrency", type=_positive_int,
+                   default=DEFAULT_CONCURRENCY,
                    help="worker threads (default %(default)s)")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_attack_eval)
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="legitimate requests per run (default %(default)s)")
     p.add_argument("--replays", type=_positive_int, default=100,
                    help="attack requests per scenario (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int, default=16,
+    p.add_argument("--concurrency", type=_positive_int,
+                   default=DEFAULT_CONCURRENCY,
                    help="worker threads (default %(default)s)")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_ablation)
@@ -343,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 100,1000,5000,10000)")
     p.add_argument("--duration", type=_positive_float, default=10.0,
                    help="seconds per offered rate (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int, default=16,
+    p.add_argument("--concurrency", type=_positive_int,
+                   default=DEFAULT_CONCURRENCY,
                    help="worker threads (default %(default)s)")
     p.add_argument("--window", type=_positive_float, default=60.0,
                    help="verifier window in seconds (default %(default)s)")

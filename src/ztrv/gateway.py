@@ -221,8 +221,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
 # Gateway
 # ---------------------------------------------------------------------------
 
-def _malformed(detail: str) -> Decision:
-    del detail  # kept out of the wire response; reasons are a closed set
+def _malformed() -> Decision:
     return Decision(outcome=Outcome.REJECT, reason=Reason.MALFORMED_REQUEST,
                     mandate_id="")
 
@@ -256,7 +255,7 @@ class ZtrvGateway(_HttpService):
                     # oversized or unreadable: reject without parsing and
                     # drop the connection rather than draining the stream
                     self.close_connection = True
-                    self.send_json(403, _malformed("unreadable body").to_wire())
+                    self.send_json(403, _malformed().to_wire())
                     return
                 status, payload, headers = gateway.handle_execute(body)
                 self.send_payload(status, payload, extra_headers=headers)
@@ -301,7 +300,7 @@ class ZtrvGateway(_HttpService):
             obj = json.loads(body)
             request = request_from_wire(obj)
         except (ValueError, WireFormatError, UnicodeDecodeError):
-            decision = _malformed("unparseable request")
+            decision = _malformed()
             return 403, json.dumps(decision.to_wire()).encode("utf-8"), {}
 
         decision = verify(request, self.clock.now_ms(), self.config.verifier,

@@ -303,7 +303,7 @@ _MANDATE_KEYS = frozenset(
     {"mandate_id", "nonce", "issued_at", "context_hash", "payload",
      "key_id", "signature"})
 _PAYLOAD_KEYS = frozenset({"amount", "currency"})
-_CONTEXT_KEYS = frozenset({"task_id", "agent_id", "merchant_id", "scope"})
+_CONTEXT_KEYS = frozenset(DEFAULT_CONTEXT_FIELDS)
 _REQUEST_KEYS = frozenset({"mandate", "context"})
 
 

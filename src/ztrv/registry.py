@@ -5,19 +5,24 @@ for a TTL window, and any second claim inside the window fails.  Expired
 entries count as absent.  All operations take the current time as an
 argument so the registry can run on a virtual clock in simulations and on
 the wall clock in the gateway, with identical behavior.
+
+Entries live in one dict kept in claim order: a claim of a new or expired
+key puts it at the end.  While claims share one TTL and their times never go
+backwards, as the verifier's do, claim order is expiry order, so a sweep only
+has to drop the expired prefix.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 
-# Rough per-entry footprint (key bytes + dict/heap overhead) used for the
-# memory estimate reported by stats(); it is an estimate, not an accounting.
-DEFAULT_PER_ENTRY_BYTES = 125
+# Rough per-entry footprint (key string + dict slot) used for the memory
+# estimate reported by stats(); it is an estimate, not an accounting.
+PER_ENTRY_BYTES = 125
 
-DEFAULT_SWEEP_INTERVAL_MS = 250
+# Claims sweep the registry when this many ms have passed since the last sweep.
+SWEEP_INTERVAL_MS = 250
 
 
 @dataclass(frozen=True)
@@ -29,20 +34,20 @@ class RegistryStats:
 
 
 class NonceRegistry:
-    """Thread-safe set-if-absent store keyed by nonce, expiring entries by TTL."""
+    """Thread-safe set-if-absent store keyed by nonce, expiring entries by TTL.
 
-    def __init__(self, *, per_entry_bytes: int = DEFAULT_PER_ENTRY_BYTES,
-                 sweep_interval_ms: int = DEFAULT_SWEEP_INTERVAL_MS):
-        if per_entry_bytes <= 0:
-            raise ValueError("per_entry_bytes must be positive")
-        if sweep_interval_ms <= 0:
-            raise ValueError("sweep_interval_ms must be positive")
-        self._per_entry_bytes = per_entry_bytes
-        self._sweep_interval_ms = sweep_interval_ms
+    Every decision is exact for any mix of TTLs and claim times: a lookup
+    compares the stored expiry with ``now``.  Only removal depends on claim
+    order.  A sweep stops at the first live entry, so with mixed TTLs or
+    out-of-order times an expired entry claimed after a live one stays
+    (counted in ``len`` and ``stats``, but absent to ``consume_once``) until
+    a sweep reaches it.  With one TTL and non-decreasing times, eviction is
+    exact.
+    """
+
+    def __init__(self):
         self._lock = threading.Lock()
-        self._expiry: dict[str, int] = {}
-        # lazy-deletion min-heap of (expiry, key); stale tags are skipped
-        self._heap: list[tuple[int, str]] = []
+        self._expiry: dict[str, int] = {}  # key -> expiry, in claim order
         self._peak = 0
         self._evicted = 0
         self._last_sweep: int | None = None
@@ -59,23 +64,24 @@ class NonceRegistry:
         with self._lock:
             if self._last_sweep is None:
                 self._last_sweep = now
-            elif now - self._last_sweep >= self._sweep_interval_ms:
+            elif now - self._last_sweep >= SWEEP_INTERVAL_MS:
                 self._sweep_locked(now)
-            current = self._expiry.get(key)
+            entries = self._expiry
+            current = entries.get(key)
             if current is not None:
                 if current > now:
                     return False
-                # expired entry: treat as absent, replace in place
+                # expired entry: treat as absent and re-insert at the end
+                del entries[key]
                 self._evicted += 1
-            expiry = now + ttl_ms
-            self._expiry[key] = expiry
-            heapq.heappush(self._heap, (expiry, key))
-            if len(self._expiry) > self._peak:
-                self._peak = len(self._expiry)
+            entries[key] = now + ttl_ms
+            if len(entries) > self._peak:
+                self._peak = len(entries)
             return True
 
     def sweep(self, now: int) -> int:
-        """Remove every entry with expiry <= now; returns how many were removed."""
+        """Remove the expired prefix (expiry <= now) in claim order; returns
+        how many entries were removed."""
         with self._lock:
             return self._sweep_locked(now)
 
@@ -86,7 +92,7 @@ class NonceRegistry:
                 live_count=live,
                 peak_count=self._peak,
                 evicted_total=self._evicted,
-                bytes_estimate=live * self._per_entry_bytes,
+                bytes_estimate=live * PER_ENTRY_BYTES,
             )
 
     def __len__(self) -> int:
@@ -94,16 +100,17 @@ class NonceRegistry:
             return len(self._expiry)
 
     def _sweep_locked(self, now: int) -> int:
-        removed = 0
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            _, key = heapq.heappop(heap)
-            current = self._expiry.get(key)
-            # the tag may be stale: the key may have been reclaimed with a
-            # later expiry, or already removed under an older tag
-            if current is not None and current <= now:
-                del self._expiry[key]
-                removed += 1
-        self._evicted += removed
+        # Sweeps run in batches, not on every claim: iterating a dict from
+        # the front walks the slots its deletions left behind, until the next
+        # resize compacts them, so a per-claim sweep would cost O(live).
+        entries = self._expiry
+        dead = []
+        for key, expiry in entries.items():
+            if expiry > now:
+                break
+            dead.append(key)
+        for key in dead:
+            del entries[key]
+        self._evicted += len(dead)
         self._last_sweep = now
-        return removed
+        return len(dead)

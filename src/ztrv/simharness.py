@@ -15,9 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import queue
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -34,7 +32,7 @@ from .mandate import (
     VerificationRequest,
     issue_mandate,
 )
-from .registry import NonceRegistry, RegistryStats
+from .registry import PER_ENTRY_BYTES, NonceRegistry, RegistryStats
 from .verifier import Mode, StageTimings, VerifierConfig, verify, verify_instrumented
 
 MERCHANT_POOL = tuple(f"merchant-{i:02d}" for i in range(8))
@@ -393,7 +391,7 @@ def ttl_sweep(windows: list[float], rate: float = 10_000.0,
         points.append(TtlSweepPoint(
             window=window,
             peak_entries=stats.peak_count,
-            bytes_estimate=stats.peak_count * 125,
+            bytes_estimate=stats.peak_count * PER_ENTRY_BYTES,
         ))
     return points
 
@@ -466,53 +464,27 @@ def _drain_bench(requests, config, keystore, clock, concurrency,
     Elapsed time runs from first dispatch to last completed verification.
     """
     registry = NonceRegistry()
-    work: queue.SimpleQueue = queue.SimpleQueue()
-    all_timings: list[StageTimings] = []
-    accepted_total = 0
-    last_done_ns = 0
-    tally_lock = threading.Lock()
 
-    def worker():
-        nonlocal accepted_total, last_done_ns
-        local_timings = []
-        local_accepted = 0
-        local_last = 0
-        while True:
-            batch = work.get()
-            if batch is None:
-                break
-            for idx in batch:
-                now = clock.now_ms()
-                decision, t = verify_instrumented(requests[idx], now, config,
-                                                  registry, keystore)
-                local_timings.append(t)
-                local_accepted += decision.accepted
-            local_last = time.perf_counter_ns()
-        with tally_lock:
-            all_timings.extend(local_timings)
-            accepted_total += local_accepted
-            last_done_ns = max(last_done_ns, local_last)
+    def run_batch(batch):
+        return ([verify_instrumented(requests[idx], clock.now_ms(), config,
+                                     registry, keystore) for idx in batch],
+                time.perf_counter())
 
-    threads = [threading.Thread(target=worker, daemon=True)
-               for _ in range(concurrency)]
-    for thread in threads:
-        thread.start()
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        t0 = time.perf_counter()
+        futures = []
+        for k, batch in enumerate(batches):
+            if pace_s is not None:
+                delay = (t0 + k * pace_s) - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+            futures.append(pool.submit(run_batch, batch))
+        done = [f.result() for f in futures]
 
-    t_start_ns = time.perf_counter_ns()
-    t0 = time.perf_counter()
-    for k, batch in enumerate(batches):
-        if pace_s is not None:
-            delay = (t0 + k * pace_s) - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-        work.put(batch)
-    for _ in threads:
-        work.put(None)
-    for thread in threads:
-        thread.join()
-
-    elapsed_s = (last_done_ns - t_start_ns) / 1e9
-    return all_timings, accepted_total, elapsed_s
+    results = [r for batch_results, _ in done for r in batch_results]
+    accepted = sum(decision.accepted for decision, _ in results)
+    last_done = max((finished for _, finished in done), default=t0)
+    return [t for _, t in results], accepted, last_done - t0
 
 
 def _bench_point(offered_rate: float, n: int, concurrency: int, seed: int,

@@ -90,11 +90,11 @@ class Decision:
 class VerifierConfig:
     """Tunable verification policy.
 
-    ``window`` (seconds) is both the freshness horizon and the nonce TTL:
-    a nonce only needs to be remembered for exactly as long as its mandate
-    could still pass the freshness check.  ``skew_tolerance`` (seconds)
-    widens acceptance on both sides to absorb clock skew between issuer
-    and verifier; it defaults to zero (no skew allowance).
+    ``window`` (seconds) is the freshness horizon.  ``skew_tolerance``
+    (seconds) widens acceptance on both sides to absorb clock skew between
+    issuer and verifier; it defaults to zero (no skew allowance).  A consumed
+    nonce is remembered for ``nonce_ttl_ms``, as long as its mandate could
+    still pass the freshness check.
     """
 
     mode: Mode = Mode.FULL
@@ -120,6 +120,13 @@ class VerifierConfig:
     @property
     def skew_ms(self) -> int:
         return int(round(self.skew_tolerance * 1000))
+
+    @property
+    def nonce_ttl_ms(self) -> int:
+        """``window + 2*skew + 1`` ms.  A mandate can first be claimed at
+        ``issued_at - skew`` and stays fresh through ``issued_at + window +
+        skew``; its entry, dead at claim + TTL, must outlive that instant."""
+        return self.window_ms + 2 * self.skew_ms + 1
 
 
 @dataclass(frozen=True)
@@ -191,12 +198,12 @@ def verify_instrumented(request: VerificationRequest, now: int,
             return done(_reject(Reason.CONTEXT_MISMATCH, mandate.mandate_id))
 
     # stage 5: nonce consumption, the last stage so that a consumed nonce
-    # always corresponds to an accepted request. TTL equals the freshness
-    # window exactly: after that long the mandate is expired anyway.
+    # always corresponds to an accepted request. The entry outlives the last
+    # instant at which the mandate could pass stage 3.
     if config.mode.checks_nonce:
         t0 = time.perf_counter_ns()
         fresh = registry.consume_once("nonce:" + mandate.nonce, now,
-                                      config.window_ms)
+                                      config.nonce_ttl_ms)
         registry_ns = time.perf_counter_ns() - t0
         if not fresh:
             return done(_reject(Reason.REPLAY_DETECTED, mandate.mandate_id))

@@ -38,6 +38,7 @@ from ztrv import (
     verify,
 )
 from ztrv.cli import main as cli_main
+from ztrv.registry import PER_ENTRY_BYTES
 
 NOW = 1_700_000_000_000
 FULL = VerifierConfig(mode=Mode.FULL, window=60.0)
@@ -170,7 +171,7 @@ def test_criterion_3_ttl_sweep(report):
         problems.append(f"runtime {elapsed:.1f}s >= 60s")
     peaks = ", ".join(f"{p.window:g}s->{p.peak_entries}" for p in points)
     report(3, "ttl sweep", problems,
-            f"peaks {peaks}; plateau 12.50MB at 125B/entry", elapsed)
+            f"peaks {peaks}; plateau 12.50MB at {PER_ENTRY_BYTES}B/entry", elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def test_criterion_5_replay_window_closure(issuer, keystore, report):
 def test_criterion_6_side_effect_isolation(issuer, keystore, report):
     t0 = time.monotonic()
     problems = []
-    registry = NonceRegistry(sweep_interval_ms=10 ** 12)
+    registry = NonceRegistry()
     rng = random.Random(0xC6)
     for i in range(500):
         registry.consume_once(f"nonce:{rng.getrandbits(128):032x}", NOW,

@@ -18,6 +18,7 @@ from ztrv import (
     request_to_wire,
 )
 from ztrv.gateway import parse_listen_address
+from ztrv.registry import PER_ENTRY_BYTES
 
 
 def _post(url, body: bytes, headers=None):
@@ -209,7 +210,7 @@ def test_healthz_and_stats(gateway, make_request):
     stats = json.loads(body)
     assert stats["live_count"] == 1
     assert stats["peak_count"] == 1
-    assert stats["bytes_estimate"] == 125
+    assert stats["bytes_estimate"] == PER_ENTRY_BYTES
     assert stats["evicted_total"] == 0
 
 

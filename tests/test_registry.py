@@ -3,17 +3,26 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztrv import NonceRegistry
+from ztrv.registry import PER_ENTRY_BYTES, SWEEP_INTERVAL_MS
 
 
 class ReferenceRegistry:
-    """Brute-force oracle: a plain dict with the same stated semantics."""
+    """Brute-force oracle: a plain dict with the same stated semantics,
+    including a full sweep once SWEEP_INTERVAL_MS has passed since the last."""
 
     def __init__(self):
         self.entries = {}
+        self.last_sweep = None
 
     def consume_once(self, key, now, ttl):
+        if self.last_sweep is None:
+            self.last_sweep = now
+        elif now - self.last_sweep >= SWEEP_INTERVAL_MS:
+            self.sweep(now)
         current = self.entries.get(key)
         if current is not None and current > now:
             return False
@@ -24,6 +33,7 @@ class ReferenceRegistry:
         dead = [k for k, exp in self.entries.items() if exp <= now]
         for k in dead:
             del self.entries[k]
+        self.last_sweep = now
         return len(dead)
 
     def live(self, now):
@@ -94,23 +104,39 @@ def test_sweep_partial():
 
 
 def test_sweep_completeness():
-    # after sweep(now), no entry has expiry <= now
+    # one TTL, non-decreasing time: after sweep(now), no entry has expiry <= now
     reg = NonceRegistry()
     rng = random.Random(3)
+    now = 0
     for i in range(500):
-        reg.consume_once(f"k{i}", now=rng.randrange(0, 10_000),
-                         ttl_ms=rng.randrange(1, 5_000))
-    reg.sweep(now=7_500)
-    assert all(exp > 7_500 for exp in reg._expiry.values())
+        now += rng.randrange(0, 40)
+        reg.consume_once(f"k{i}", now=now, ttl_ms=2_000)
+    reg.sweep(now=now - 1_000)
+    assert all(exp > now - 1_000 for exp in reg._expiry.values())
+    assert len(reg) < 500
 
 
-def test_stale_heap_tag_does_not_kill_reclaimed_entry():
-    # expire, reclaim with later expiry, then sweep past the old tag
+def test_reclaimed_entry_survives_sweep_past_its_old_expiry():
+    # expire, reclaim with later expiry, then sweep past the old expiry
     reg = NonceRegistry()
     assert reg.consume_once("k", now=0, ttl_ms=1_000)
     assert reg.consume_once("k", now=1_000, ttl_ms=60_000)  # reclaim
-    reg.sweep(now=1_500)  # old tag (expiry=1000) pops here
+    reg.sweep(now=1_500)
     assert reg.consume_once("k", now=2_000, ttl_ms=60_000) is False
+
+
+def test_sweep_stops_at_live_front_entry_expired_one_behind_stays_absent():
+    # mixed TTLs: the sweep stops at the first live entry in claim order
+    reg = NonceRegistry()
+    assert reg.consume_once("long", now=0, ttl_ms=10_000)
+    assert reg.consume_once("short", now=0, ttl_ms=100)
+    assert reg.sweep(now=1_000) == 0
+    assert len(reg) == 2  # "short" is expired but still stored
+    assert reg.consume_once("short", now=1_000, ttl_ms=100) is True
+    assert reg.stats().evicted_total == 1
+    assert reg.consume_once("short", now=1_050, ttl_ms=100) is False
+    assert reg.sweep(now=20_000) == 2
+    assert len(reg) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +150,13 @@ def test_fresh_registry_stats_all_zero():
 
 
 def test_stats_after_bulk_insert():
-    reg = NonceRegistry(sweep_interval_ms=10 ** 9)
+    reg = NonceRegistry()
     for i in range(100_000):
         assert reg.consume_once(f"nonce:{i:032x}", now=0, ttl_ms=10 ** 9)
     stats = reg.stats()
     assert stats.live_count == 100_000
     assert stats.peak_count == 100_000
-    assert stats.bytes_estimate == 100_000 * 125
-
-
-def test_bytes_estimate_uses_configured_cost():
-    reg = NonceRegistry(per_entry_bytes=200)
-    reg.consume_once("a", now=0, ttl_ms=1_000)
-    reg.consume_once("b", now=0, ttl_ms=1_000)
-    assert reg.stats().bytes_estimate == 400
+    assert stats.bytes_estimate == 100_000 * PER_ENTRY_BYTES
 
 
 def test_peak_never_decreases_across_sweep():
@@ -157,52 +176,64 @@ def test_lazy_reclaim_counts_as_eviction():
     assert reg.stats().evicted_total == 1
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        NonceRegistry(per_entry_bytes=0)
-    with pytest.raises(ValueError):
-        NonceRegistry(sweep_interval_ms=0)
-
-
 # ---------------------------------------------------------------------------
 # reference-oracle equivalence
 # ---------------------------------------------------------------------------
 
-def test_matches_brute_force_reference_under_random_schedule():
-    rng = random.Random(20260815)
-    reg = NonceRegistry(sweep_interval_ms=10 ** 12)  # only explicit sweeps
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 15),
+                          st.integers(1, 2_000)), max_size=150))
+def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
+    # mixed TTLs, non-decreasing time, automatic sweeps: every decision and
+    # the set of unexpired keys equal the oracle's
+    reg = NonceRegistry()
+    ref = ReferenceRegistry()
+    now = 0
+    for step, (dt, k, ttl) in enumerate(ops):
+        now += dt
+        key = f"k{k}"
+        assert (reg.consume_once(key, now, ttl)
+                == ref.consume_once(key, now, ttl)), f"step {step}"
+        live = {name for name, exp in reg._expiry.items() if exp > now}
+        assert live == ref.live(now), f"step {step}"
+
+
+@pytest.mark.parametrize("ttl", [1, 150, 700, 2_000])
+def test_one_ttl_matches_reference_sweeps_and_keys(ttl):
+    rng = random.Random(20260815 + ttl)
+    reg = NonceRegistry()
     ref = ReferenceRegistry()
     now = 0
     keys = [f"k{i}" for i in range(40)]
     for step in range(5_000):
         now += rng.randrange(0, 200)
-        op = rng.random()
-        if op < 0.85:
+        if rng.random() < 0.85:
             key = rng.choice(keys)
-            ttl = rng.randrange(1, 2_000)
             assert (reg.consume_once(key, now, ttl)
                     == ref.consume_once(key, now, ttl)), f"step {step}"
         else:
             assert reg.sweep(now) == ref.sweep(now), f"step {step}"
-    reg.sweep(now)
-    ref.sweep(now)
+    assert reg.sweep(now) == ref.sweep(now)
     assert set(reg._expiry) == set(ref.entries)
+    assert reg.stats().evicted_total > 0
 
 
 def test_expiry_safety_against_oracle():
-    # a true consume at t implies false at every probed t' in (t, t+ttl)
+    # a true consume at t implies false at every probed t' in (t, t+ttl);
+    # times never go backwards
     rng = random.Random(7)
-    reg = NonceRegistry(sweep_interval_ms=10 ** 12)
+    reg = NonceRegistry()
+    t = 0
     for _ in range(200):
         key = f"k{rng.randrange(10 ** 9):x}"
-        t = rng.randrange(0, 10 ** 6)
+        t += rng.randrange(0, 10_000)
         ttl = rng.randrange(1, 10_000)
         assert reg.consume_once(key, t, ttl)
-        for _ in range(5):
-            probe = t + rng.randrange(1, ttl + 1) if ttl > 1 else t + 1
+        for probe in sorted(t + rng.randrange(1, ttl + 1) for _ in range(5)):
             if probe < t + ttl:
                 assert reg.consume_once(key, probe, ttl) is False
-        assert reg.consume_once(key, t + ttl, ttl) is True
+        t += ttl
+        assert reg.consume_once(key, t, ttl) is True
 
 
 # ---------------------------------------------------------------------------

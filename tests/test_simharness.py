@@ -21,6 +21,7 @@ from ztrv import (
     ttl_sweep,
     verify_signature,
 )
+from ztrv.registry import PER_ENTRY_BYTES
 from ztrv.simharness import (
     MERCHANT_POOL,
     ROGUE_SCOPE_POOL,
@@ -64,7 +65,7 @@ def oracle_run(items, mode: Mode, window_ms: int = WINDOW_MS):
             if expiry is not None and expiry > now:
                 accepted = False
             else:
-                seen[mandate.nonce] = now + window_ms
+                seen[mandate.nonce] = now + window_ms + 1  # skew 0
                 accepted = True
         else:
             accepted = True
@@ -263,7 +264,7 @@ def test_ttl_sweep_matches_reference_registry():
     issuer = sim_issuer(13)
     workload = gen_legit_workload(rate, duration, 50, seed=13, issuer=issuer)
     for point in points:
-        window_ms = int(point.window * 1000)
+        ttl_ms = int(point.window * 1000) + 1  # window + 2*skew + 1, skew 0
         entries = {}
         peak = 0
         next_sweep = workload[0].at_ms + 100
@@ -274,10 +275,10 @@ def test_ttl_sweep_matches_reference_registry():
                     del entries[key]
                 next_sweep += 100
             entries["nonce:" + item.request.mandate.nonce] = \
-                item.at_ms + window_ms
+                item.at_ms + ttl_ms
             peak = max(peak, len(entries))
         assert point.peak_entries == peak, f"window {point.window}"
-        assert point.bytes_estimate == peak * 125
+        assert point.bytes_estimate == peak * PER_ENTRY_BYTES
 
 
 def test_ttl_sweep_plateau_at_duration():

@@ -91,6 +91,23 @@ def test_skew_tolerance_widens_both_sides(make_request, keystore):
             is Reason.MANDATE_EXPIRED)
 
 
+@pytest.mark.parametrize("skew,issued_at,replay_at", [
+    (0.0, T0, T0 + 60_000),          # replay at age == window
+    (5.0, T0 + 5_000, T0 + 70_000),  # first use future-dated by the skew
+])
+def test_replay_at_last_fresh_instant_is_detected(make_request, keystore,
+                                                  skew, issued_at, replay_at):
+    # first use at T0; the replay comes at the last instant freshness accepts
+    config = VerifierConfig(mode=Mode.FULL, window=60.0, skew_tolerance=skew)
+    request = make_request(now=issued_at)
+    registry = fresh_registry()
+    assert verify(request, T0, config, registry, keystore).accepted
+    assert (verify(request, replay_at, config, registry, keystore).reason
+            is Reason.REPLAY_DETECTED)
+    assert (verify(request, replay_at + 1, config, registry, keystore).reason
+            is Reason.MANDATE_EXPIRED)
+
+
 def test_wrong_merchant_context_mismatch(make_request, keystore):
     request = make_request()
     moved = VerificationRequest(
@@ -212,6 +229,7 @@ def test_config_validation():
     VerifierConfig(mode=Mode.BASELINE, context_fields=())
     assert VerifierConfig(window=60).window_ms == 60_000
     assert VerifierConfig(skew_tolerance=5).skew_ms == 5_000
+    assert VerifierConfig(window=60, skew_tolerance=5).nonce_ttl_ms == 70_001
 
 
 def test_configurable_context_fields(issuer, keystore, context):
