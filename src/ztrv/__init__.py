@@ -33,7 +33,6 @@ from .verifier import (
     StageTimings,
     VerifierConfig,
     verify,
-    verify_instrumented,
 )
 from .gateway import ConfigError, GatewayConfig, MockMerchant, ZtrvGateway, load_config
 from .simharness import (
@@ -106,6 +105,5 @@ __all__ = [
     "throughput_bench",
     "ttl_sweep",
     "verify",
-    "verify_instrumented",
     "verify_signature",
 ]

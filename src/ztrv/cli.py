@@ -21,6 +21,7 @@ from .simharness import (
     AttackKind,
     ablation_run,
     attack_eval,
+    capacity_probe,
     interception_matrix,
     report_basename,
     throughput_bench,
@@ -216,9 +217,11 @@ def cmd_ttl_sweep(args) -> int:
 
 def cmd_throughput(args) -> int:
     out_dir = _ensure_out_dir(args.out)
-    points = throughput_bench(args.rates, duration=args.duration,
-                              concurrency=args.concurrency, seed=args.seed,
-                              window=args.window)
+    points = [capacity_probe(concurrency=args.concurrency, seed=args.seed,
+                             window=args.window)]
+    points += throughput_bench(args.rates, duration=args.duration,
+                               concurrency=args.concurrency, seed=args.seed,
+                               window=args.window)
     rows = []
     for point in points:
         pct = point.stage_latency_percentiles

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .clock import SimClock
-from .mandate import Keystore, WireFormatError, request_from_wire
+from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
-from .verifier import Decision, Mode, Outcome, Reason, VerifierConfig, verify
+from .verifier import Decision, Mode, VerifierConfig, verify
 
 log = logging.getLogger("ztrv.gateway")
 
@@ -221,11 +221,6 @@ class _JsonHandler(BaseHTTPRequestHandler):
 # Gateway
 # ---------------------------------------------------------------------------
 
-def _malformed() -> Decision:
-    return Decision(outcome=Outcome.REJECT, reason=Reason.MALFORMED_REQUEST,
-                    mandate_id="")
-
-
 class ZtrvGateway(_HttpService):
     """The verification gateway service.
 
@@ -252,11 +247,9 @@ class ZtrvGateway(_HttpService):
                     return
                 body = self._read_body()
                 if body is None:
-                    # oversized or unreadable: reject without parsing and
+                    # oversized or unreadable: rejected without parsing;
                     # drop the connection rather than draining the stream
                     self.close_connection = True
-                    self.send_json(403, _malformed().to_wire())
-                    return
                 status, payload, headers = gateway.handle_execute(body)
                 self.send_payload(status, payload, extra_headers=headers)
 
@@ -294,14 +287,21 @@ class ZtrvGateway(_HttpService):
         host, port = parse_listen_address(config.listen_address)
         super().__init__(host, port, Handler)
 
-    def handle_execute(self, body: bytes) -> tuple[int, bytes, dict]:
-        """Core /execute logic; returns (status, response body, headers)."""
-        try:
-            obj = json.loads(body)
-            request = request_from_wire(obj)
-        except (ValueError, WireFormatError, UnicodeDecodeError):
-            decision = _malformed()
-            return 403, json.dumps(decision.to_wire()).encode("utf-8"), {}
+    def handle_execute(self, body: bytes | None) -> tuple[int, bytes, dict]:
+        """Core /execute logic; returns (status, response body, headers).
+
+        ``body`` is None when it could not be read.  Such a body, or one that
+        does not decode to a request, reaches the verifier as None, and
+        stage 1 rejects it like any other malformed request.
+        """
+        request = None
+        if body is not None:
+            try:
+                request = request_from_wire(json.loads(body))
+            except (ValueError, RecursionError):
+                # WireFormatError and UnicodeDecodeError are ValueErrors;
+                # json raises RecursionError on deeply nested input
+                pass
 
         decision = verify(request, self.clock.now_ms(), self.config.verifier,
                           self.registry, self.keystore)

@@ -123,8 +123,10 @@ def signing_bytes(mandate: Mandate) -> bytes:
 # ---------------------------------------------------------------------------
 # Structural validation
 #
-# These return a human-readable problem string (or None) instead of raising,
-# because the verifier needs "malformed" as a decision, not an exception.
+# The one place that checks field types and contents, for every caller: the
+# wire decoder passes values through as it found them.  These return a
+# human-readable problem string (or None) instead of raising, because the
+# verifier needs "malformed" as a decision, not an exception.
 # ---------------------------------------------------------------------------
 
 def _encodable(value: str) -> bool:
@@ -296,7 +298,8 @@ class Keystore:
 
 
 # ---------------------------------------------------------------------------
-# Wire codecs (strict JSON shapes; unknown keys rejected)
+# Wire codecs (strict JSON shapes: exact key sets, base64 signature; field
+# types and contents are left to request_problem)
 # ---------------------------------------------------------------------------
 
 _MANDATE_KEYS = frozenset(
@@ -323,21 +326,6 @@ def _require_keys(obj: Any, expected: frozenset, label: str) -> dict:
     return obj
 
 
-def _require_str(obj: dict, key: str, label: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise WireFormatError(f"{label}.{key} must be a string")
-    return value
-
-
-def _require_int(obj: dict, key: str, label: str) -> int:
-    value = obj[key]
-    # bool is an int subclass; it is not a valid wire integer
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WireFormatError(f"{label}.{key} must be an integer")
-    return value
-
-
 def mandate_to_wire(mandate: Mandate) -> dict:
     return {
         "mandate_id": mandate.mandate_id,
@@ -356,21 +344,18 @@ def mandate_to_wire(mandate: Mandate) -> dict:
 def mandate_from_wire(obj: Any) -> Mandate:
     obj = _require_keys(obj, _MANDATE_KEYS, "mandate")
     payload_obj = _require_keys(obj["payload"], _PAYLOAD_KEYS, "payload")
-    encoded = _require_str(obj, "signature", "mandate")
     try:
-        signature = base64.b64decode(encoded, validate=True)
+        signature = base64.b64decode(obj["signature"], validate=True)
     except (ValueError, TypeError) as exc:
         raise WireFormatError("mandate.signature is not valid base64") from exc
     return Mandate(
-        mandate_id=_require_str(obj, "mandate_id", "mandate"),
-        nonce=_require_str(obj, "nonce", "mandate"),
-        issued_at=_require_int(obj, "issued_at", "mandate"),
-        context_hash=_require_str(obj, "context_hash", "mandate"),
-        payload=PaymentPayload(
-            amount=_require_int(payload_obj, "amount", "payload"),
-            currency=_require_str(payload_obj, "currency", "payload"),
-        ),
-        key_id=_require_str(obj, "key_id", "mandate"),
+        mandate_id=obj["mandate_id"],
+        nonce=obj["nonce"],
+        issued_at=obj["issued_at"],
+        context_hash=obj["context_hash"],
+        payload=PaymentPayload(amount=payload_obj["amount"],
+                               currency=payload_obj["currency"]),
+        key_id=obj["key_id"],
         signature=signature,
     )
 
@@ -386,12 +371,7 @@ def context_to_wire(context: ExecutionContext) -> dict:
 
 def context_from_wire(obj: Any) -> ExecutionContext:
     obj = _require_keys(obj, _CONTEXT_KEYS, "context")
-    return ExecutionContext(
-        task_id=_require_str(obj, "task_id", "context"),
-        agent_id=_require_str(obj, "agent_id", "context"),
-        merchant_id=_require_str(obj, "merchant_id", "context"),
-        scope=_require_str(obj, "scope", "context"),
-    )
+    return ExecutionContext(**obj)
 
 
 def request_to_wire(request: VerificationRequest) -> dict:

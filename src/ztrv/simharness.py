@@ -33,7 +33,7 @@ from .mandate import (
     issue_mandate,
 )
 from .registry import PER_ENTRY_BYTES, NonceRegistry, RegistryStats
-from .verifier import Mode, StageTimings, VerifierConfig, verify, verify_instrumented
+from .verifier import Mode, StageTimings, VerifierConfig, verify
 
 MERCHANT_POOL = tuple(f"merchant-{i:02d}" for i in range(8))
 SCOPE_POOL = ("/checkout/confirm", "/orders/place", "/subscriptions/renew",
@@ -62,14 +62,11 @@ class AttackKind(Enum):
 class AttackScenario:
     kind: AttackKind
     replay_count: int = 100
-    concurrency: int = DEFAULT_CONCURRENCY
     seed: int = 1
 
     def __post_init__(self):
         if self.replay_count < 1:
             raise ValueError("replay_count must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,6 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     """
     if clock is None:
         clock = SimClock.virtual()
-    if scenario is not None and scenario.concurrency != concurrency:
-        concurrency = scenario.concurrency
 
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
@@ -262,9 +257,8 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     timings: list[StageTimings] = []
 
     def run_one(item: TimedRequest, now: int):
-        decision, t = verify_instrumented(item.request, now, config,
-                                          registry, keystore)
-        return item, decision.accepted, t
+        decision = verify(item.request, now, config, registry, keystore)
+        return item, decision.accepted, decision.timings
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         i = 0
@@ -319,7 +313,7 @@ def attack_eval(mode: Mode, *, n: int = 5000, duration: float = 10.0,
     reports = []
     for kind in AttackKind:
         scenario = AttackScenario(kind=kind, replay_count=replay_count,
-                                  concurrency=concurrency, seed=seed + 1)
+                                  seed=seed + 1)
         reports.append(run_experiment(
             mode, scenario, rate=n / duration, duration=duration,
             seed=seed, concurrency=concurrency))
@@ -466,8 +460,8 @@ def _drain_bench(requests, config, keystore, clock, concurrency,
     registry = NonceRegistry()
 
     def run_batch(batch):
-        return ([verify_instrumented(requests[idx], clock.now_ms(), config,
-                                     registry, keystore) for idx in batch],
+        return ([verify(requests[idx], clock.now_ms(), config, registry,
+                        keystore) for idx in batch],
                 time.perf_counter())
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -481,10 +475,10 @@ def _drain_bench(requests, config, keystore, clock, concurrency,
             futures.append(pool.submit(run_batch, batch))
         done = [f.result() for f in futures]
 
-    results = [r for batch_results, _ in done for r in batch_results]
-    accepted = sum(decision.accepted for decision, _ in results)
+    decisions = [d for batch_decisions, _ in done for d in batch_decisions]
+    accepted = sum(decision.accepted for decision in decisions)
     last_done = max((finished for _, finished in done), default=t0)
-    return [t for _, t in results], accepted, last_done - t0
+    return [d.timings for d in decisions], accepted, last_done - t0
 
 
 def _bench_point(offered_rate: float, n: int, concurrency: int, seed: int,
@@ -513,18 +507,13 @@ def capacity_probe(n: int = 30_000, concurrency: int = DEFAULT_CONCURRENCY, *,
 
 def throughput_bench(rates: list[float], duration: float = 10.0,
                      concurrency: int = DEFAULT_CONCURRENCY, *,
-                     seed: int = 42, window: float = 60.0,
-                     include_capacity_probe: bool = True) -> list[ThroughputPoint]:
+                     seed: int = 42, window: float = 60.0) -> list[ThroughputPoint]:
     """Paced offered-load runs; reports measured, host-dependent numbers.
 
     A rate the host cannot sustain shows up as achieved < offered, never as
-    an error.  When enabled, an unpaced capacity probe (offered_rate 0.0)
-    is prepended as the sustained-capacity measurement.
+    an error.  ``capacity_probe`` measures the unpaced capacity.
     """
     points = []
-    if include_capacity_probe:
-        points.append(capacity_probe(concurrency=concurrency, seed=seed,
-                                     window=window))
     for rate in rates:
         if rate <= 0:
             raise ValueError("rates must be positive")

@@ -69,10 +69,31 @@ class Reason(Enum):
 
 
 @dataclass(frozen=True)
+class StageTimings:
+    """Per-stage wall time in nanoseconds; stages that did not run report 0.
+
+    ``total_ns`` is measured end to end and also covers parse and dispatch
+    overhead, so it can exceed the sum of the stage fields.
+    """
+
+    signature_ns: int = 0
+    context_ns: int = 0
+    registry_ns: int = 0
+    total_ns: int = 0
+
+
+@dataclass(frozen=True)
 class Decision:
+    """What the pipeline decided, and how long each stage took to decide it.
+
+    ``timings`` is a measurement, not part of the decision: decisions compare
+    equal without it, and it is left out of the wire form.
+    """
+
     outcome: Outcome
     reason: Reason
     mandate_id: str
+    timings: StageTimings = field(compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -129,47 +150,32 @@ class VerifierConfig:
         return self.window_ms + 2 * self.skew_ms + 1
 
 
-@dataclass(frozen=True)
-class StageTimings:
-    """Per-stage wall time in nanoseconds; stages that did not run report 0.
-
-    ``total_ns`` is measured end to end and also covers parse and dispatch
-    overhead, so it can exceed the sum of the stage fields.
+def verify(request: VerificationRequest | None, now: int,
+           config: VerifierConfig, registry: NonceRegistry,
+           keystore: Keystore) -> Decision:
+    """Run the pipeline at time ``now`` (unix ms); the decision carries the
+    time each stage took.  ``request`` is whatever the caller has: stage 1
+    rejects anything that is not a fully well-formed request, None included.
     """
-
-    signature_ns: int = 0
-    context_ns: int = 0
-    registry_ns: int = 0
-    total_ns: int = 0
-
-
-def _reject(reason: Reason, mandate_id: str) -> Decision:
-    return Decision(outcome=Outcome.REJECT, reason=reason, mandate_id=mandate_id)
-
-
-def verify_instrumented(request: VerificationRequest, now: int,
-                        config: VerifierConfig, registry: NonceRegistry,
-                        keystore: Keystore) -> tuple[Decision, StageTimings]:
-    """Run the pipeline at time ``now`` (unix ms) and time each stage."""
     t_start = time.perf_counter_ns()
     signature_ns = 0
     context_ns = 0
     registry_ns = 0
 
-    def done(decision: Decision) -> tuple[Decision, StageTimings]:
-        return decision, StageTimings(
-            signature_ns=signature_ns,
-            context_ns=context_ns,
-            registry_ns=registry_ns,
-            total_ns=time.perf_counter_ns() - t_start,
-        )
+    def done(reason: Reason, mandate_id: str) -> Decision:
+        outcome = Outcome.ACCEPT if reason is Reason.AUTHORIZED else Outcome.REJECT
+        return Decision(outcome=outcome, reason=reason, mandate_id=mandate_id,
+                        timings=StageTimings(
+                            signature_ns=signature_ns,
+                            context_ns=context_ns,
+                            registry_ns=registry_ns,
+                            total_ns=time.perf_counter_ns() - t_start,
+                        ))
 
     # stage 1: shape. A request that cannot be fully validated is rejected
-    # without looking at any of its contents.
+    # without looking at any of its contents, its mandate_id included.
     if request_problem(request) is not None:
-        mandate = getattr(request, "mandate", None)
-        mandate_id = mandate.mandate_id if isinstance(getattr(mandate, "mandate_id", None), str) else ""
-        return done(_reject(Reason.MALFORMED_REQUEST, mandate_id))
+        return done(Reason.MALFORMED_REQUEST, "")
 
     mandate = request.mandate
 
@@ -180,13 +186,13 @@ def verify_instrumented(request: VerificationRequest, now: int,
     signature_ok = public_key is not None and verify_signature(mandate, public_key)
     signature_ns = time.perf_counter_ns() - t0
     if not signature_ok:
-        return done(_reject(Reason.INVALID_SIGNATURE, mandate.mandate_id))
+        return done(Reason.INVALID_SIGNATURE, mandate.mandate_id)
 
     # stage 3: freshness. Expired iff now - issued_at > window + skew;
     # equality is still fresh. Future-dating beyond skew is also rejected.
     age_ms = now - mandate.issued_at
     if age_ms > config.window_ms + config.skew_ms or -age_ms > config.skew_ms:
-        return done(_reject(Reason.MANDATE_EXPIRED, mandate.mandate_id))
+        return done(Reason.MANDATE_EXPIRED, mandate.mandate_id)
 
     # stage 4: context binding. The hash is recomputed from the observed
     # context; the mandate's stored hash must match exactly.
@@ -195,7 +201,7 @@ def verify_instrumented(request: VerificationRequest, now: int,
         observed = hash_context_fields(request.context, config.context_fields)
         context_ns = time.perf_counter_ns() - t0
         if observed != mandate.context_hash:
-            return done(_reject(Reason.CONTEXT_MISMATCH, mandate.mandate_id))
+            return done(Reason.CONTEXT_MISMATCH, mandate.mandate_id)
 
     # stage 5: nonce consumption, the last stage so that a consumed nonce
     # always corresponds to an accepted request. The entry outlives the last
@@ -206,12 +212,6 @@ def verify_instrumented(request: VerificationRequest, now: int,
                                       config.nonce_ttl_ms)
         registry_ns = time.perf_counter_ns() - t0
         if not fresh:
-            return done(_reject(Reason.REPLAY_DETECTED, mandate.mandate_id))
+            return done(Reason.REPLAY_DETECTED, mandate.mandate_id)
 
-    return done(Decision(outcome=Outcome.ACCEPT, reason=Reason.AUTHORIZED,
-                         mandate_id=mandate.mandate_id))
-
-
-def verify(request: VerificationRequest, now: int, config: VerifierConfig,
-           registry: NonceRegistry, keystore: Keystore) -> Decision:
-    return verify_instrumented(request, now, config, registry, keystore)[0]
+    return done(Reason.AUTHORIZED, mandate.mandate_id)

@@ -350,10 +350,8 @@ def test_criterion_7_throughput_floor(report):
     t0 = time.monotonic()
     problems = []
     probe = capacity_probe(n=30_000, concurrency=16, seed=42)
-    low = throughput_bench([100], duration=3, concurrency=16, seed=42,
-                           include_capacity_probe=False)[0]
-    high = throughput_bench([10_000], duration=3, concurrency=16, seed=42,
-                            include_capacity_probe=False)[0]
+    low = throughput_bench([100], duration=3, concurrency=16, seed=42)[0]
+    high = throughput_bench([10_000], duration=3, concurrency=16, seed=42)[0]
 
     if probe.achieved_rate < 10_000:
         problems.append(f"capacity {probe.achieved_rate:.0f}/s < 10000/s")

@@ -5,6 +5,8 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztrv import (
     ConfigError,
@@ -58,6 +60,17 @@ def gateway(merchant, keystore, tmp_path):
         upstream_url=f"{merchant.base_url}/fulfill",
         keystore_path=str(tmp_path / "unused.json"),
     )
+    with ZtrvGateway(config, keystore=keystore) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def idle_gateway(keystore):
+    """A gateway for requests that must all be rejected; nothing listens
+    upstream."""
+    config = GatewayConfig(listen_address="127.0.0.1:0",
+                           upstream_url="http://127.0.0.1:9/unused",
+                           keystore_path="unused.json")
     with ZtrvGateway(config, keystore=keystore) as server:
         yield server
 
@@ -184,6 +197,54 @@ def test_unknown_wire_key_malformed(gateway, make_request):
                             json.dumps(wire).encode())
     assert status == 403
     assert json.loads(body)["reason"] == "MalformedRequest"
+
+
+@pytest.mark.parametrize("body", [b"[" * 2000, b'{"a":' * 2000],
+                         ids=["array", "object"])
+def test_deeply_nested_json_malformed(gateway, merchant, body):
+    status, payload, _ = _post(f"{gateway.base_url}/execute", body)
+    assert status == 403
+    assert json.loads(payload)["reason"] == "MalformedRequest"
+    assert len(merchant.ledger) == 0
+
+
+@pytest.mark.parametrize("part, key, value", [
+    ("mandate", "mandate_id", None), ("mandate", "nonce", 7),
+    ("mandate", "issued_at", "123"), ("mandate", "issued_at", True),
+    ("mandate", "issued_at", -1), ("mandate", "context_hash", []),
+    ("mandate", "key_id", 5), ("payload", "amount", 1.5),
+    ("payload", "currency", {"c": "USD"}), ("context", "task_id", 3),
+    ("context", "agent_id", []), ("context", "merchant_id", None),
+    ("context", "scope", False),
+])
+def test_wrong_field_types_are_malformed_decisions(gateway, merchant,
+                                                   make_request, part, key,
+                                                   value):
+    # the wire decoder passes field values through; stage 1 rejects them
+    wire = request_to_wire(make_request(now=gateway.clock.now_ms()))
+    parts = {"mandate": wire["mandate"], "payload": wire["mandate"]["payload"],
+             "context": wire["context"]}
+    parts[part][key] = value
+    status, body, _ = gateway.handle_execute(json.dumps(wire).encode())
+    assert status == 403
+    assert json.loads(body) == {"outcome": "REJECT",
+                                "reason": "MalformedRequest", "mandate_id": ""}
+    assert len(merchant.ledger) == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(body=st.binary() | _json_values.map(lambda v: json.dumps(v).encode()))
+def test_any_body_that_is_not_a_request_is_malformed(idle_gateway, body):
+    status, payload, headers = idle_gateway.handle_execute(body)
+    assert (status, headers) == (403, {})
+    assert json.loads(payload)["reason"] == "MalformedRequest"
 
 
 def test_oversized_body_rejected(merchant, keystore, tmp_path):

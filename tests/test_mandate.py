@@ -1,8 +1,11 @@
 import base64
 import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ztrv import (
     ExecutionContext,
@@ -303,20 +306,47 @@ def test_wire_rejects_missing_keys(make_request):
         request_from_wire(wire)
 
 
-def test_wire_rejects_wrong_types(make_request):
+def test_wire_rejects_bad_base64_and_non_objects(make_request):
+    # the wire decoder checks shape only; wrong field types are stage 1's
+    # (test_gateway.test_wrong_field_types_are_malformed_decisions)
     for mutate in (
-        lambda w: w["mandate"].__setitem__("issued_at", "123"),
-        lambda w: w["mandate"].__setitem__("issued_at", True),
-        lambda w: w["mandate"].__setitem__("nonce", 7),
-        lambda w: w["mandate"]["payload"].__setitem__("amount", 1.5),
         lambda w: w["mandate"].__setitem__("signature", "&&not-base64&&"),
+        lambda w: w["mandate"].__setitem__("signature", 7),
+        lambda w: w["mandate"].__setitem__("payload", [1, "USD"]),
         lambda w: w.__setitem__("context", ["not", "an", "object"]),
-        lambda w: w["context"].__setitem__("merchant_id", None),
     ):
         wire = request_to_wire(make_request())
         mutate(wire)
         with pytest.raises(WireFormatError):
             request_from_wire(wire)
+
+
+_hex = st.text(alphabet="0123456789abcdef", min_size=32, max_size=32)
+
+
+@given(mandate_id=_hex, nonce=_hex,
+       issued_at=st.integers(min_value=0, max_value=2 ** 63),
+       context_hash=st.text(alphabet="0123456789abcdef", min_size=64,
+                            max_size=64),
+       amount=st.integers(min_value=0, max_value=2 ** 63),
+       currency=st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=3,
+                        max_size=3),
+       key_id=st.text(min_size=1), signature=st.binary(min_size=64, max_size=64),
+       context=st.lists(st.text(min_size=1), min_size=4, max_size=4))
+def test_request_wire_roundtrip_property(mandate_id, nonce, issued_at,
+                                         context_hash, amount, currency,
+                                         key_id, signature, context):
+    request = VerificationRequest(
+        Mandate(mandate_id=mandate_id, nonce=nonce, issued_at=issued_at,
+                context_hash=context_hash,
+                payload=PaymentPayload(amount, currency), key_id=key_id,
+                signature=signature),
+        ExecutionContext(*context))
+    assert request_problem(request) is None
+    assert request_from_wire(request_to_wire(request)) == request
+    # and through JSON text, as the gateway receives it
+    text = json.dumps(request_to_wire(request))
+    assert request_from_wire(json.loads(text)) == request
 
 
 def test_wire_rejects_toplevel_extras(make_request):

@@ -21,6 +21,7 @@ from ztrv import (
     ttl_sweep,
     verify_signature,
 )
+from ztrv import simharness
 from ztrv.registry import PER_ENTRY_BYTES
 from ztrv.simharness import (
     MERCHANT_POOL,
@@ -226,6 +227,22 @@ def test_run_experiment_matches_serial_oracle(mode, kind):
     assert report.attacks_launched + report.legit_sent == len(expected)
 
 
+def test_run_experiment_pool_has_the_requested_workers(monkeypatch):
+    sizes = []
+
+    class RecordingPool(simharness.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(simharness, "ThreadPoolExecutor", RecordingPool)
+    scenario = AttackScenario(kind=AttackKind.SAME_CONTEXT_REPLAY,
+                              replay_count=4, seed=9)
+    run_experiment(Mode.FULL, scenario, rate=5, duration=2, seed=9,
+                   concurrency=8)
+    assert sizes == [8]
+
+
 def test_legit_only_zero_fpr_all_modes():
     for mode in Mode:
         report = run_experiment(mode, None, rate=5, duration=10, seed=2)
@@ -302,8 +319,7 @@ def test_capacity_probe_smoke():
 
 
 def test_throughput_bench_paced_point():
-    points = throughput_bench([400], duration=0.5, concurrency=2, seed=16,
-                              include_capacity_probe=False)
+    points = throughput_bench([400], duration=0.5, concurrency=2, seed=16)
     assert len(points) == 1
     point = points[0]
     assert point.offered_rate == 400

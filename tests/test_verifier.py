@@ -14,13 +14,13 @@ from ztrv import (
     Outcome,
     PaymentPayload,
     Reason,
+    StageTimings,
     VerificationRequest,
     VerifierConfig,
     compute_context_hash,
     hash_context_fields,
     issue_mandate,
     verify,
-    verify_instrumented,
 )
 from ztrv.mandate import canonical_encode
 
@@ -140,7 +140,7 @@ def test_malformed_request_fail_closed(make_request, keystore):
         request.context)
     decision = verify(bad, T0 + 1, FULL, fresh_registry(), keystore)
     assert decision.reason is Reason.MALFORMED_REQUEST
-    assert decision.mandate_id == request.mandate.mandate_id
+    assert decision.mandate_id == ""  # its contents are not trusted, id included
     # entirely missing pieces still produce a Decision, never an exception
     assert (verify(VerificationRequest(None, request.context), T0, FULL,
                    fresh_registry(), keystore).reason
@@ -262,8 +262,9 @@ def test_configurable_context_fields(issuer, keystore, context):
 
 def test_baseline_timings_skip_context_and_registry(make_request, keystore):
     config = VerifierConfig(mode=Mode.BASELINE)
-    decision, timings = verify_instrumented(make_request(), T0 + 1, config,
-                                            fresh_registry(), keystore)
+    decision = verify(make_request(), T0 + 1, config, fresh_registry(),
+                      keystore)
+    timings = decision.timings
     assert decision.accepted
     assert timings.context_ns == 0
     assert timings.registry_ns == 0
@@ -271,8 +272,8 @@ def test_baseline_timings_skip_context_and_registry(make_request, keystore):
 
 
 def test_full_timings_all_stages_positive(make_request, keystore):
-    decision, timings = verify_instrumented(make_request(), T0 + 1, FULL,
-                                            fresh_registry(), keystore)
+    decision = verify(make_request(), T0 + 1, FULL, fresh_registry(), keystore)
+    timings = decision.timings
     assert decision.accepted
     assert timings.signature_ns > 0
     assert timings.context_ns > 0
@@ -286,11 +287,17 @@ def test_malformed_skips_all_timed_stages(keystore, make_request):
     bad = VerificationRequest(
         dataclasses.replace(request.mandate, context_hash="zz"),
         request.context)
-    _, timings = verify_instrumented(bad, T0, FULL, fresh_registry(), keystore)
+    timings = verify(bad, T0, FULL, fresh_registry(), keystore).timings
     assert timings.signature_ns == 0
     assert timings.context_ns == 0
     assert timings.registry_ns == 0
     assert timings.total_ns > 0
+
+
+def test_timings_are_not_part_of_the_decision(make_request, keystore):
+    decision = verify(make_request(), T0 + 1, FULL, fresh_registry(), keystore)
+    assert dataclasses.replace(decision, timings=StageTimings()) == decision
+    assert set(decision.to_wire()) == {"outcome", "reason", "mandate_id"}
 
 
 # ---------------------------------------------------------------------------
