@@ -135,7 +135,7 @@ def cmd_serve(args) -> int:
     print(f"ztrv gateway listening on {gateway.host}:{gateway.port}, "
           f"mode={config.verifier.mode.value}, "
           f"window={config.verifier.window:g}s, "
-          f"upstream={config.upstream_url}")
+          f"upstream={config.upstream_url}", flush=True)
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .clock import SimClock
 from .mandate import Keystore, request_from_wire
@@ -31,6 +33,13 @@ log = logging.getLogger("ztrv.gateway")
 
 DEFAULT_BODY_LIMIT = 64 * 1024
 UPSTREAM_TIMEOUT_S = 10.0
+# handler threads per server, and so the most connections served at once
+HANDLER_THREADS = 16
+# an idle, slow or stalled client connection is closed after this long
+READ_TIMEOUT_S = 10.0
+LISTEN_BACKLOG = 128
+ACCEPT_RETRY_S = 0.05
+SHUTDOWN_WAIT_S = 5.0
 
 
 class ConfigError(ValueError):
@@ -148,13 +157,26 @@ def load_config(path) -> GatewayConfig:
 # HTTP plumbing shared by gateway and mock merchant
 # ---------------------------------------------------------------------------
 
+class _Listener(HTTPServer):
+    # a burst beyond the handler pool waits in the kernel's accept queue
+    # instead of having its SYNs dropped at TCPServer's default of 5
+    request_queue_size = LISTEN_BACKLOG
+
+
 class _HttpService:
-    """ThreadingHTTPServer wrapper with background start/stop."""
+    """An HTTP server served by a fixed pool of accepting handler threads.
+
+    Each of the HANDLER_THREADS workers blocks in ``accept()`` on the shared
+    listener and serves the connection it gets until the client closes it or
+    stays silent for READ_TIMEOUT_S.  No thread is started per connection,
+    and at most HANDLER_THREADS connections are served at once; further ones
+    wait in the listen backlog.
+    """
 
     def __init__(self, host: str, port: int, handler_cls):
-        self._server = ThreadingHTTPServer((host, port), handler_cls)
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        self._server = _Listener((host, port), handler_cls)
+        self._workers: list[threading.Thread] = []
+        self._stopping = threading.Event()
 
     @property
     def host(self) -> str:
@@ -169,21 +191,59 @@ class _HttpService:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "_HttpService":
-        # small poll interval so shutdown() returns promptly
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True)
-        self._thread.start()
+        for i in range(HANDLER_THREADS):
+            worker = threading.Thread(target=self._serve, daemon=True,
+                                      name=f"ztrv-http-{self.port}-{i}")
+            worker.start()
+            # listed once started: shutdown() may run after an interrupt here
+            self._workers.append(worker)
         return self
 
+    def _serve(self) -> None:
+        server = self._server
+        listener = server.socket
+        while True:
+            try:
+                # looked up on every call, never cached: perfbench counts
+                # connections by replacing socket.socket.accept
+                conn, address = listener.accept()
+            except OSError as exc:
+                if self._stopping.is_set():
+                    return
+                # Linux reports some errors of a pending connection, and
+                # EMFILE, from accept(2); keep serving, without spinning
+                log.warning("accept failed: %s", exc)
+                self._stopping.wait(ACCEPT_RETRY_S)
+                continue
+            try:
+                server.finish_request(conn, address)
+            except Exception:
+                server.handle_error(conn, address)
+            finally:
+                server.shutdown_request(conn)
+
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        """Serve until shutdown() is called from another thread."""
+        self.start()
+        for worker in self._workers:
+            worker.join()
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        """Stop accepting and wait up to SHUTDOWN_WAIT_S for the workers.
+
+        Shutting the listener down wakes every worker blocked in accept() (on
+        Linux), so an idle or never-started service stops at once.  A worker
+        still serving a connection finishes that connection first.
+        """
+        self._stopping.set()
+        try:
+            self._server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down and closed
         self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        deadline = time.monotonic() + SHUTDOWN_WAIT_S
+        for worker in self._workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self):
         return self.start()
@@ -194,9 +254,11 @@ class _HttpService:
 
 class _JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        log.debug("%s %s", self.address_string(), format % args)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s", self.address_string(), format % args)
 
     def send_payload(self, status: int, body: bytes,
                      content_type: str = "application/json",

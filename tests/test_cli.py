@@ -1,8 +1,14 @@
 import base64
 import json
+import os
+import select
 import shutil
+import signal
 import stat
 import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +229,39 @@ def test_serve_flag_overrides_env(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert flag_file.name in err
     assert env_file.name not in err
+
+
+def test_python_m_serve_answers_and_stops_on_sigint(tmp_path):
+    keystore = tmp_path / "ks.json"
+    assert main(["keygen", "--out", str(keystore), "--key-id", "k"]) == 0
+    config = tmp_path / "gateway.json"
+    config.write_text(json.dumps({
+        "listen_address": "127.0.0.1:0",
+        "upstream_url": "http://127.0.0.1:9/unused",
+        "keystore_path": str(keystore)}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ztrv", "serve", "--config", str(config)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no output within 30 s"
+        line = proc.stdout.readline()
+        assert "listening on " in line, line + proc.stderr.read()
+        address = line.split("listening on ", 1)[1].split(",", 1)[0]
+        with urllib.request.urlopen(f"http://{address}/healthz",
+                                    timeout=5) as resp:
+            assert (resp.status, resp.read()) == (200, b"ok")
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=5)
+        assert proc.returncode == 0, err
+        assert "shutting down" in out
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 # ---------------------------------------------------------------------------

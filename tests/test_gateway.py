@@ -1,5 +1,10 @@
 import dataclasses
+import errno
+import http.client
 import json
+import logging
+import socket
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +24,8 @@ from ztrv import (
     load_config,
     request_to_wire,
 )
-from ztrv.gateway import parse_listen_address
+from ztrv import gateway as gateway_module
+from ztrv.gateway import HANDLER_THREADS, parse_listen_address
 from ztrv.registry import PER_ENTRY_BYTES
 
 
@@ -64,14 +70,17 @@ def gateway(merchant, keystore, tmp_path):
         yield server
 
 
+def _idle_config() -> GatewayConfig:
+    return GatewayConfig(listen_address="127.0.0.1:0",
+                         upstream_url="http://127.0.0.1:9/unused",
+                         keystore_path="unused.json")
+
+
 @pytest.fixture(scope="module")
 def idle_gateway(keystore):
     """A gateway for requests that must all be rejected; nothing listens
     upstream."""
-    config = GatewayConfig(listen_address="127.0.0.1:0",
-                           upstream_url="http://127.0.0.1:9/unused",
-                           keystore_path="unused.json")
-    with ZtrvGateway(config, keystore=keystore) as server:
+    with ZtrvGateway(_idle_config(), keystore=keystore) as server:
         yield server
 
 
@@ -357,3 +366,111 @@ def test_keystore_loaded_from_file(merchant, tmp_path, issuer, make_request):
     with ZtrvGateway(config) as gw:  # no injected keystore: reads the file
         request = make_request(now=gw.clock.now_ms())
         assert _post_request(gw.base_url, request)[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# serving model: a fixed handler pool with a read timeout
+# ---------------------------------------------------------------------------
+
+SHORT_TIMEOUT_S = 0.5
+
+
+@pytest.fixture
+def pooled_gateway(keystore, monkeypatch):
+    """A started gateway whose connections time out after SHORT_TIMEOUT_S."""
+    monkeypatch.setattr(gateway_module._JsonHandler, "timeout",
+                        SHORT_TIMEOUT_S)
+    with ZtrvGateway(_idle_config(), keystore=keystore) as server:
+        yield server
+
+
+def _connect(service) -> http.client.HTTPConnection:
+    # the client waits 10x the server's read timeout before giving up
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=10 * SHORT_TIMEOUT_S)
+    conn.connect()
+    return conn
+
+
+@pytest.mark.parametrize("make_service", [
+    lambda keystore: ZtrvGateway(_idle_config(), keystore=keystore),
+    lambda keystore: MockMerchant(),
+], ids=["gateway", "merchant"])
+def test_shutdown_of_unstarted_service_returns(make_service, keystore):
+    service = make_service(keystore)
+    # in a daemon thread, so a shutdown that hangs fails the test and not
+    # the whole run
+    stopper = threading.Thread(target=service.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(3)
+    assert not stopper.is_alive()
+
+
+def test_failed_accept_keeps_every_worker(keystore, monkeypatch):
+    service = ZtrvGateway(_idle_config(), keystore=keystore)
+    accept = socket.socket.accept
+    failures = iter(range(HANDLER_THREADS))
+
+    def failing_accept(sock):
+        # each worker's first accept fails as accept(2) may on Linux when a
+        # pending connection has a network error
+        if (sock.getsockname()[1] == service.port
+                and next(failures, None) is not None):
+            raise OSError(errno.EPROTO, "protocol error")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", failing_accept)
+    with service:
+        assert _post(f"{service.base_url}/execute", b"{}")[0] == 403
+        assert all(worker.is_alive() for worker in service._workers)
+
+
+def test_stalled_request_head_is_closed(pooled_gateway):
+    address = (pooled_gateway.host, pooled_gateway.port)
+    with socket.create_connection(address,
+                                  timeout=10 * SHORT_TIMEOUT_S) as sock:
+        sock.sendall(b"POST /execute HTTP/1.1\r\nHost: ztrv\r\n")
+        assert sock.recv(1) == b""
+
+
+def test_pinned_pool_serves_a_new_connection_after_the_timeout(
+        pooled_gateway):
+    conns = []
+    try:
+        for _ in range(HANDLER_THREADS):
+            conn = _connect(pooled_gateway)
+            conns.append(conn)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b"ok")
+        # every worker now waits on a silent keep-alive connection
+        late = _connect(pooled_gateway)
+        conns.append(late)
+        late.request("POST", "/execute", body=b"{}")
+        response = late.getresponse()
+        assert response.status == 403
+        assert json.loads(response.read())["reason"] == "MalformedRequest"
+        for conn in conns[:-1]:
+            assert conn.sock.recv(1) == b""  # closed by the read timeout
+    finally:
+        for conn in conns:
+            conn.close()
+
+
+def test_fresh_connections_start_no_threads(pooled_gateway):
+    before = threading.active_count()
+    for _ in range(200):
+        conn = _connect(pooled_gateway)
+        try:
+            conn.request("POST", "/execute", body=b"{}")
+            assert conn.getresponse().status == 403
+        finally:
+            conn.close()
+    assert threading.active_count() <= before
+
+
+def test_access_log_at_debug(idle_gateway, caplog):
+    caplog.set_level(logging.DEBUG, logger="ztrv.gateway")
+    assert _get(f"{idle_gateway.base_url}/healthz")[0] == 200
+    assert any('"GET /healthz HTTP/1.1" 200' in record.getMessage()
+               for record in caplog.records)
