@@ -13,6 +13,7 @@ in end-to-end tests.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import socket
@@ -33,9 +34,11 @@ log = logging.getLogger("ztrv.gateway")
 
 DEFAULT_BODY_LIMIT = 64 * 1024
 UPSTREAM_TIMEOUT_S = 10.0
-# handler threads per server, and so the most connections served at once
+# handler threads kept waiting in accept(); more start while connections
+# hold these, so every open connection is served at once
 HANDLER_THREADS = 16
-# an idle, slow or stalled client connection is closed after this long
+# the most time a connection gets to deliver one whole request, from the
+# wait for its first byte to the end of its body; it is closed after that
 READ_TIMEOUT_S = 10.0
 LISTEN_BACKLOG = 128
 ACCEPT_RETRY_S = 0.05
@@ -158,24 +161,29 @@ def load_config(path) -> GatewayConfig:
 # ---------------------------------------------------------------------------
 
 class _Listener(HTTPServer):
-    # a burst beyond the handler pool waits in the kernel's accept queue
+    # a burst beyond the waiting workers waits in the kernel's accept queue
     # instead of having its SYNs dropped at TCPServer's default of 5
     request_queue_size = LISTEN_BACKLOG
 
 
 class _HttpService:
-    """An HTTP server served by a fixed pool of accepting handler threads.
+    """An HTTP server whose handler threads each accept their own connections.
 
-    Each of the HANDLER_THREADS workers blocks in ``accept()`` on the shared
-    listener and serves the connection it gets until the client closes it or
-    stays silent for READ_TIMEOUT_S.  No thread is started per connection,
-    and at most HANDLER_THREADS connections are served at once; further ones
-    wait in the listen backlog.
+    HANDLER_THREADS workers are started up front, each blocked in
+    ``accept()`` on the shared listener.  A worker serves the connection it
+    gets until the client closes it or a request is not read within
+    READ_TIMEOUT_S.  A worker that takes a connection while no other worker
+    waits starts one more, so a new connection never waits for an open one
+    to end; a worker that finishes while HANDLER_THREADS others wait exits.
+    No thread is started per connection while fewer than HANDLER_THREADS
+    connections are open.
     """
 
     def __init__(self, host: str, port: int, handler_cls):
         self._server = _Listener((host, port), handler_cls)
-        self._workers: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._workers: set[threading.Thread] = set()
+        self._waiting = 0  # workers in accept() or on their way back to it
         self._stopping = threading.Event()
 
     @property
@@ -191,13 +199,19 @@ class _HttpService:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "_HttpService":
-        for i in range(HANDLER_THREADS):
-            worker = threading.Thread(target=self._serve, daemon=True,
-                                      name=f"ztrv-http-{self.port}-{i}")
-            worker.start()
-            # listed once started: shutdown() may run after an interrupt here
-            self._workers.append(worker)
+        with self._lock:
+            for _ in range(HANDLER_THREADS):
+                self._add_worker()
         return self
+
+    def _add_worker(self) -> None:
+        # the caller holds self._lock
+        worker = threading.Thread(target=self._serve, daemon=True,
+                                  name=f"ztrv-http-{self.port}")
+        worker.start()
+        # listed once started: shutdown() may run after an interrupt here
+        self._workers.add(worker)
+        self._waiting += 1
 
     def _serve(self) -> None:
         server = self._server
@@ -215,18 +229,31 @@ class _HttpService:
                 log.warning("accept failed: %s", exc)
                 self._stopping.wait(ACCEPT_RETRY_S)
                 continue
+            with self._lock:
+                self._waiting -= 1
+                if not self._waiting and not self._stopping.is_set():
+                    try:
+                        self._add_worker()
+                    except RuntimeError as exc:
+                        # out of threads: the next connection waits in the
+                        # backlog until a worker is free
+                        log.warning("cannot start a handler thread: %s", exc)
             try:
                 server.finish_request(conn, address)
             except Exception:
                 server.handle_error(conn, address)
             finally:
                 server.shutdown_request(conn)
+            with self._lock:
+                if self._waiting >= HANDLER_THREADS:
+                    self._workers.discard(threading.current_thread())
+                    return
+                self._waiting += 1
 
     def serve_forever(self) -> None:
         """Serve until shutdown() is called from another thread."""
         self.start()
-        for worker in self._workers:
-            worker.join()
+        self._stopping.wait()
 
     def shutdown(self) -> None:
         """Stop accepting and wait up to SHUTDOWN_WAIT_S for the workers.
@@ -235,14 +262,16 @@ class _HttpService:
         Linux), so an idle or never-started service stops at once.  A worker
         still serving a connection finishes that connection first.
         """
-        self._stopping.set()
+        with self._lock:
+            self._stopping.set()  # under the lock: no worker starts after it
+            workers = list(self._workers)
         try:
             self._server.socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # already shut down and closed
         self._server.server_close()
         deadline = time.monotonic() + SHUTDOWN_WAIT_S
-        for worker in self._workers:
+        for worker in workers:
             worker.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self):
@@ -252,9 +281,39 @@ class _HttpService:
         self.shutdown()
 
 
+class _DeadlineReader(socket.SocketIO):
+    """Socket reads that fail once ``deadline`` (monotonic) has passed.
+
+    A timeout per read alone would let a client that trickles a byte now and
+    then hold its connection for good.
+    """
+
+    deadline = 0.0
+
+    def readinto(self, b):
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request not read in time")
+        self._sock.settimeout(remaining)
+        return super().readinto(b)
+
+
 class _JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S
+
+    def setup(self):
+        super().setup()
+        self.rfile.close()
+        self._reader = _DeadlineReader(self.connection, "rb")
+        self.rfile = io.BufferedReader(self._reader)
+
+    def handle_one_request(self):
+        # one deadline for the whole request; on its TimeoutError the base
+        # class closes the connection, and the gateway's body read answers
+        # with a 403 first
+        self._reader.deadline = time.monotonic() + self.timeout
+        super().handle_one_request()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if log.isEnabledFor(logging.DEBUG):

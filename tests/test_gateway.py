@@ -5,6 +5,7 @@ import json
 import logging
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -369,7 +370,7 @@ def test_keystore_loaded_from_file(merchant, tmp_path, issuer, make_request):
 
 
 # ---------------------------------------------------------------------------
-# serving model: a fixed handler pool with a read timeout
+# serving model: accepting handler threads and a request read deadline
 # ---------------------------------------------------------------------------
 
 SHORT_TIMEOUT_S = 0.5
@@ -433,32 +434,79 @@ def test_stalled_request_head_is_closed(pooled_gateway):
         assert sock.recv(1) == b""
 
 
-def test_pinned_pool_serves_a_new_connection_after_the_timeout(
-        pooled_gateway):
-    conns = []
+def test_trickled_request_head_is_closed_at_the_deadline(pooled_gateway):
+    # a byte every fifth of the timeout: no single read ever times out
+    address = (pooled_gateway.host, pooled_gateway.port)
+    started = time.monotonic()
+    with socket.create_connection(address) as sock:
+        sock.settimeout(SHORT_TIMEOUT_S / 5)
+        sock.sendall(b"POST /execute HTTP/1.1\r\nX-Pad: ")
+        closed = False
+        while not closed and time.monotonic() - started < 10 * SHORT_TIMEOUT_S:
+            try:
+                sock.sendall(b"a")
+                closed = sock.recv(1) == b""
+            except TimeoutError:
+                pass
+            except ConnectionError:
+                closed = True
+    assert closed
+    assert time.monotonic() - started < 4 * SHORT_TIMEOUT_S
+
+
+def test_idle_keepalive_connection_is_closed(pooled_gateway):
+    conn = _connect(pooled_gateway)
     try:
-        for _ in range(HANDLER_THREADS):
-            conn = _connect(pooled_gateway)
-            conns.append(conn)
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            assert (response.status, response.read()) == (200, b"ok")
-        # every worker now waits on a silent keep-alive connection
-        late = _connect(pooled_gateway)
-        conns.append(late)
-        late.request("POST", "/execute", body=b"{}")
-        response = late.getresponse()
-        assert response.status == 403
-        assert json.loads(response.read())["reason"] == "MalformedRequest"
-        for conn in conns[:-1]:
-            assert conn.sock.recv(1) == b""  # closed by the read timeout
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert (response.status, response.read()) == (200, b"ok")
+        assert conn.sock.recv(1) == b""  # closed by the read deadline
     finally:
-        for conn in conns:
-            conn.close()
+        conn.close()
 
 
-def test_fresh_connections_start_no_threads(pooled_gateway):
-    before = threading.active_count()
+def test_every_open_keepalive_connection_is_served(keystore):
+    # one more connection than the waiting workers, all in use at once; the
+    # client gives up well before the server's read deadline could free a
+    # worker, so no connection may wait for another to end
+    conns = []
+    with ZtrvGateway(_idle_config(), keystore=keystore) as service:
+        try:
+            for _ in range(HANDLER_THREADS + 1):
+                conn = http.client.HTTPConnection(
+                    service.host, service.port,
+                    timeout=gateway_module.READ_TIMEOUT_S / 4)
+                conns.append(conn)
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert (response.status, response.read()) == (200, b"ok")
+            for conn in conns:
+                conn.request("POST", "/execute", body=b"{}")
+            for conn in conns:
+                response = conn.getresponse()
+                assert response.status == 403
+                body = json.loads(response.read())
+                assert body["reason"] == "MalformedRequest"
+        finally:
+            for conn in conns:
+                conn.close()
+        # the workers started for the extra connections exit once idle
+        deadline = time.monotonic() + 5
+        while (len(service._workers) > HANDLER_THREADS
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert len(service._workers) == HANDLER_THREADS
+
+
+def test_fresh_connections_start_no_threads(pooled_gateway, monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     for _ in range(200):
         conn = _connect(pooled_gateway)
         try:
@@ -466,7 +514,7 @@ def test_fresh_connections_start_no_threads(pooled_gateway):
             assert conn.getresponse().status == 403
         finally:
             conn.close()
-    assert threading.active_count() <= before
+    assert starts == []
 
 
 def test_access_log_at_debug(idle_gateway, caplog):
