@@ -1,4 +1,4 @@
-"""Registry footprint vs validity window, on the virtual clock.
+"""Registry footprint vs validity window, on workload timestamps.
 
 Peak occupancy grows linearly with the window until the window exceeds the
 workload duration, then plateaus at one entry per request.

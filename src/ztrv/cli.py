@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -70,6 +71,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("value must be finite")
     if value <= 0:
         raise argparse.ArgumentTypeError("value must be positive")
     return value
@@ -86,6 +89,8 @@ def _float_list(text: str) -> list[float]:
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{part!r} is not a number") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError("values must be finite")
         if value <= 0:
             raise argparse.ArgumentTypeError("values must be positive")
         values.append(value)
@@ -217,11 +222,9 @@ def cmd_ttl_sweep(args) -> int:
 
 def cmd_throughput(args) -> int:
     out_dir = _ensure_out_dir(args.out)
-    points = [capacity_probe(concurrency=args.concurrency, seed=args.seed,
-                             window=args.window)]
+    points = [capacity_probe(concurrency=args.concurrency, seed=args.seed)]
     points += throughput_bench(args.rates, duration=args.duration,
-                               concurrency=args.concurrency, seed=args.seed,
-                               window=args.window)
+                               concurrency=args.concurrency, seed=args.seed)
     rows = []
     for point in points:
         pct = point.stage_latency_percentiles
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ttl-sweep",
                        help="peak registry occupancy vs validity window "
-                            "(virtual clock)")
+                            "(on workload timestamps)")
     p.add_argument("--windows", type=_float_list, default=[5, 30, 60, 300],
                    help="comma-separated window sizes in seconds "
                         "(default 5,30,60,300)")
@@ -352,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", type=_positive_int,
                    default=DEFAULT_CONCURRENCY,
                    help="worker threads (default %(default)s)")
-    p.add_argument("--window", type=_positive_float, default=60.0,
-                   help="verifier window in seconds (default %(default)s)")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_throughput)
 

@@ -25,7 +25,6 @@ import urllib.request
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from .clock import SimClock
 from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
 from .verifier import Decision, Mode, VerifierConfig, verify
@@ -84,11 +83,14 @@ def _config_str(obj: dict, key: str) -> str:
     return value
 
 
-def _config_number(obj: dict, key: str, default):
+def _config_number(obj: dict, key: str, default: float) -> float:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigError(f"{key} must be finite") from None
 
 
 def load_config(path) -> GatewayConfig:
@@ -138,8 +140,8 @@ def load_config(path) -> GatewayConfig:
     try:
         kwargs = {
             "mode": mode,
-            "window": float(_config_number(obj, "window", 60.0)),
-            "skew_tolerance": float(_config_number(obj, "skew_tolerance", 0.0)),
+            "window": _config_number(obj, "window", 60.0),
+            "skew_tolerance": _config_number(obj, "skew_tolerance", 0.0),
         }
         if fields is not None:
             kwargs["context_fields"] = fields
@@ -159,6 +161,26 @@ def load_config(path) -> GatewayConfig:
 # ---------------------------------------------------------------------------
 # HTTP plumbing shared by gateway and mock merchant
 # ---------------------------------------------------------------------------
+
+class _WallClock:
+    """Unix milliseconds from the system clock, never decreasing.
+
+    A step back of the system clock (an NTP adjustment) is held at the
+    latest reading: going back could make a stale mandate fresh again after
+    its nonce was swept from the registry.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._now = 0
+
+    def now_ms(self) -> int:
+        wall = time.time_ns() // 1_000_000
+        with self._lock:
+            if wall > self._now:
+                self._now = wall
+            return self._now
+
 
 class _Listener(HTTPServer):
     # a burst beyond the waiting workers waits in the kernel's accept queue
@@ -346,19 +368,17 @@ class ZtrvGateway(_HttpService):
     """The verification gateway service.
 
     All handler threads share one registry, so the exactly-one-accept
-    property holds across concurrent HTTP requests.  The clock is
-    injectable for tests; by default it reads a never-backward wall clock.
+    property holds across concurrent HTTP requests.  Requests are verified
+    at the time read from ``clock``, a never-backward wall clock.
     """
 
     def __init__(self, config: GatewayConfig, *,
-                 keystore: Keystore | None = None,
-                 registry: NonceRegistry | None = None,
-                 clock: SimClock | None = None):
+                 keystore: Keystore | None = None):
         self.config = config
         self.keystore = keystore if keystore is not None \
             else Keystore.from_file(config.keystore_path)
-        self.registry = registry if registry is not None else NonceRegistry()
-        self.clock = clock if clock is not None else SimClock.wall()
+        self.registry = NonceRegistry()
+        self.clock = _WallClock()
         gateway = self
 
         class Handler(_JsonHandler):
@@ -483,10 +503,9 @@ class MerchantLedger:
 class MockMerchant(_HttpService):
     """Trivial upstream: acknowledges everything and writes the ledger."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 clock: SimClock | None = None):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.ledger = MerchantLedger()
-        self.clock = clock if clock is not None else SimClock.wall()
+        self.clock = _WallClock()
         merchant = self
 
         class Handler(_JsonHandler):

@@ -3,7 +3,7 @@
 The registry is the replay barrier: ``consume_once`` atomically claims a key
 for a TTL window, and any second claim inside the window fails.  Expired
 entries count as absent.  All operations take the current time as an
-argument so the registry can run on a virtual clock in simulations and on
+argument so the registry runs on workload timestamps in simulations and on
 the wall clock in the gateway, with identical behavior.
 
 Entries live in one dict kept in claim order: a claim of a new or expired

@@ -1,9 +1,10 @@
 """Deterministic workload and attack simulation.
 
 Everything here is reproducible from a seed: workload generation, attack
-derivation, and (on a virtual clock) the full accept/reject outcome of a
-run.  Wall-clock latency measurements are the one exception; they are
-reported but never part of the deterministic surface.
+derivation, and the full accept/reject outcome of a run.  Time is the
+workload's own: each request is verified at its timestamp, never at a
+reading of a clock.  Latency and throughput measurements are the one
+exception; they are reported but never part of the deterministic surface.
 
 Experiments drive the verifier in process, without HTTP, so the numbers
 isolate verification cost.  The HTTP path is exercised by the gateway's
@@ -23,7 +24,6 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .clock import VIRTUAL_EPOCH_MS, ClockMode, SimClock
 from .mandate import (
     ExecutionContext,
     IssuerKey,
@@ -43,6 +43,19 @@ ROGUE_SCOPE_POOL = ("/payouts/transfer", "/refunds/issue", "/admin/export")
 CURRENCY_POOL = ("USD", "EUR", "GBP")
 
 DEFAULT_CONCURRENCY = 16
+# agents drawn for each workload's contexts
+N_AGENTS = 25
+# seconds of workload time an attack evaluation spreads its requests over
+ATTACK_DURATION_S = 10.0
+# how often, in workload ms, the TTL sweep evicts; criterion 3 reads peak
+# occupancy, which needs sweeps much finer than the shortest window
+SWEEP_CADENCE_MS = 100
+# the unpaced capacity probe dates its mandates this many per second (the
+# paper's top rate); at the default n, no nonce expires during the probe
+PROBE_RATE = 10_000.0
+
+# an arbitrary but fixed origin, so workload timestamps are reproducible
+VIRTUAL_EPOCH_MS = 1_700_000_000_000
 
 
 class AttackKind(Enum):
@@ -222,35 +235,28 @@ def summarize_timings(timings: list[StageTimings]) -> dict:
 
 
 def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
-                   rate: float = 100.0, duration: float = 10.0,
-                   n_agents: int = 25, seed: int = 42,
-                   concurrency: int = DEFAULT_CONCURRENCY,
-                   window: float = 60.0, skew_tolerance: float = 0.0,
-                   clock: SimClock | None = None) -> SimReport:
+                   rate: float = 100.0, duration: float = ATTACK_DURATION_S,
+                   seed: int = 42,
+                   concurrency: int = DEFAULT_CONCURRENCY) -> SimReport:
     """Drive a mixed legitimate+attack stream through an in-process verifier.
 
-    Requests sharing a timestamp are raced concurrently through a worker
-    pool; distinct timestamps execute in time order with the clock advanced
-    between waves.  Outcome counts are deterministic for a given seed even
+    Requests sharing a timestamp form a wave, raced concurrently through a
+    worker pool and verified at that timestamp; waves run in time order, one
+    after another.  Outcome counts are deterministic for a given seed even
     under that concurrency, because every race the schedule leaves open is
     one the verifier resolves identically regardless of interleaving.
     """
-    if clock is None:
-        clock = SimClock.virtual()
-
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
-    start_ms = clock.now_ms()
-    workload = gen_legit_workload(rate, duration, n_agents, seed,
-                                  issuer=issuer, start_ms=start_ms)
+    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
+                                  issuer=issuer)
     if scenario is None:
         legit, attacks = workload, []
     else:
         legit, attacks = inject_attack(scenario, workload)
 
     items = sorted(legit + attacks, key=lambda it: it.at_ms)
-    config = VerifierConfig(mode=mode, window=window,
-                            skew_tolerance=skew_tolerance)
+    config = VerifierConfig(mode=mode)
     registry = NonceRegistry()
 
     outcomes: list[tuple[TimedRequest, bool]] = []  # (item, accepted)
@@ -267,9 +273,7 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
             while j < len(items) and items[j].at_ms == items[i].at_ms:
                 j += 1
             wave = items[i:j]
-            if clock.mode is ClockMode.VIRTUAL and wave[0].at_ms > clock.now_ms():
-                clock.advance_to(wave[0].at_ms)
-            now = clock.now_ms()
+            now = wave[0].at_ms
             if len(wave) == 1:
                 results = [run_one(wave[0], now)]
             else:
@@ -306,7 +310,7 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     )
 
 
-def attack_eval(mode: Mode, *, n: int = 5000, duration: float = 10.0,
+def attack_eval(mode: Mode, *, n: int = 5000,
                 seed: int = 42, replay_count: int = 100,
                 concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
     """One experiment per attack scenario against an n-request legit stream."""
@@ -315,18 +319,17 @@ def attack_eval(mode: Mode, *, n: int = 5000, duration: float = 10.0,
         scenario = AttackScenario(kind=kind, replay_count=replay_count,
                                   seed=seed + 1)
         reports.append(run_experiment(
-            mode, scenario, rate=n / duration, duration=duration,
-            seed=seed, concurrency=concurrency))
+            mode, scenario, rate=n / ATTACK_DURATION_S,
+            duration=ATTACK_DURATION_S, seed=seed, concurrency=concurrency))
     return reports
 
 
-def ablation_run(*, n: int = 1000, duration: float = 10.0, seed: int = 42,
-                 replay_count: int = 100,
+def ablation_run(*, n: int = 1000, seed: int = 42, replay_count: int = 100,
                  concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
     """Every (mode, scenario) pair; the interception matrix behind the reports."""
     reports = []
     for mode in (Mode.BASELINE, Mode.CONTEXT_ONLY, Mode.NONCE_ONLY, Mode.FULL):
-        reports.extend(attack_eval(mode, n=n, duration=duration, seed=seed,
+        reports.extend(attack_eval(mode, n=n, seed=seed,
                                    replay_count=replay_count,
                                    concurrency=concurrency))
     return reports
@@ -340,7 +343,7 @@ def interception_matrix(reports: list[SimReport]) -> dict[str, dict[str, float]]
 
 
 # ---------------------------------------------------------------------------
-# TTL sweep (virtual clock)
+# TTL sweep (workload time)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -356,28 +359,27 @@ class TtlSweepPoint:
 
 
 def ttl_sweep(windows: list[float], rate: float = 10_000.0,
-              duration: float = 10.0, *, seed: int = 42, n_agents: int = 50,
-              sweep_cadence_ms: int = 100) -> list[TtlSweepPoint]:
+              duration: float = 10.0, *, seed: int = 42) -> list[TtlSweepPoint]:
     """Peak registry occupancy as a function of the validity window.
 
     One legit-only workload is generated once and replayed against a fresh
-    registry per window, entirely on the virtual clock.  Expected peak is
+    registry per window, each request at its own timestamp.  Expected peak is
     rate x min(window, duration): shorter windows let entries expire during
     the run, longer ones plateau at the full workload size.
     """
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
-    workload = gen_legit_workload(rate, duration, n_agents, seed,
+    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
                                   issuer=issuer)
     points = []
     for window in windows:
         config = VerifierConfig(mode=Mode.FULL, window=window)
         registry = NonceRegistry()
-        next_sweep = workload[0].at_ms + sweep_cadence_ms
+        next_sweep = workload[0].at_ms + SWEEP_CADENCE_MS
         for item in workload:
             while item.at_ms >= next_sweep:
                 registry.sweep(next_sweep)
-                next_sweep += sweep_cadence_ms
+                next_sweep += SWEEP_CADENCE_MS
             decision = verify(item.request, item.at_ms, config, registry,
                               keystore)
             assert decision.accepted  # legit-only stream; anything else is a bug
@@ -391,7 +393,7 @@ def ttl_sweep(windows: list[float], rate: float = 10_000.0,
 
 
 # ---------------------------------------------------------------------------
-# Throughput bench (wall clock)
+# Throughput bench (workload time, measured on the wall clock)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -420,48 +422,20 @@ class ThroughputPoint:
         return asdict(self)
 
 
-def _prepare_bench(n: int, seed: int, window: float):
-    """Pre-issue n wall-clock mandates plus verifier fixtures.
+def _drain_bench(keystore, concurrency,
+                 batches: list[list[TimedRequest]], pace_s: float | None):
+    """Feed request batches to a worker pool; returns (timings, accepted, elapsed_s).
 
-    All mandates carry issued_at = preparation time (not spread over the
-    run: a spread would future-date the tail of the stream), and the
-    freshness window is widened to cover preparation plus the whole run,
-    so no request can expire mid-bench.
+    Each request is verified at its own ``at_ms``.  ``pace_s`` is the
+    inter-batch dispatch interval (None = unpaced burst).  Elapsed time runs
+    from first dispatch to last completed verification.
     """
-    issuer = sim_issuer(seed)
-    keystore = Keystore.for_issuers(issuer)
-    clock = SimClock.wall()
-    now = clock.now_ms()
-    rng = random.Random(seed)
-    requests = []
-    for i in range(n):
-        context = ExecutionContext(
-            task_id=f"bench-{seed & 0xFFFF:04x}-{i:07d}",
-            agent_id=f"agent-{rng.randrange(50):04d}",
-            merchant_id=rng.choice(MERCHANT_POOL),
-            scope=rng.choice(SCOPE_POOL),
-        )
-        payload = PaymentPayload(amount=rng.randrange(100, 50_000),
-                                 currency=rng.choice(CURRENCY_POOL))
-        mandate = issue_mandate(issuer, context, payload, now=now, rng=rng)
-        requests.append(VerificationRequest(mandate, context))
-    horizon = max(window, 600.0)
-    config = VerifierConfig(mode=Mode.FULL, window=horizon)
-    return requests, config, keystore, clock
-
-
-def _drain_bench(requests, config, keystore, clock, concurrency,
-                 batches: list[list[int]], pace_s: float | None):
-    """Feed request-index batches to a worker pool; returns (timings, accepted, elapsed_s).
-
-    ``pace_s`` is the inter-batch dispatch interval (None = unpaced burst).
-    Elapsed time runs from first dispatch to last completed verification.
-    """
+    config = VerifierConfig(mode=Mode.FULL)
     registry = NonceRegistry()
 
     def run_batch(batch):
-        return ([verify(requests[idx], clock.now_ms(), config, registry,
-                        keystore) for idx in batch],
+        return ([verify(item.request, item.at_ms, config, registry, keystore)
+                 for item in batch],
                 time.perf_counter())
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -481,14 +455,21 @@ def _drain_bench(requests, config, keystore, clock, concurrency,
     return [d.timings for d in decisions], accepted, last_done - t0
 
 
-def _bench_point(offered_rate: float, n: int, concurrency: int, seed: int,
-                 window: float, pace_s: float | None,
+def _bench_point(offered_rate: float, rate: float, duration: float,
+                 concurrency: int, seed: int, pace_s: float | None,
                  batch_size: int) -> ThroughputPoint:
-    requests, config, keystore, clock = _prepare_bench(n, seed, window)
-    batches = [list(range(i, min(i + batch_size, n)))
-               for i in range(0, n, batch_size)]
+    """Verify a legit workload of rate x duration requests, batch by batch.
+
+    Request i is dated ``i / rate`` s into the workload.  When paced at
+    ``rate``, that is the instant its batch is offered.
+    """
+    issuer = sim_issuer(seed)
+    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
+                                  issuer=issuer)
+    batches = [workload[i:i + batch_size]
+               for i in range(0, len(workload), batch_size)]
     timings, accepted, elapsed_s = _drain_bench(
-        requests, config, keystore, clock, concurrency, batches, pace_s)
+        Keystore.for_issuers(issuer), concurrency, batches, pace_s)
     return ThroughputPoint(
         offered_rate=offered_rate,
         achieved_rate=len(timings) / elapsed_s if elapsed_s > 0 else 0.0,
@@ -499,15 +480,15 @@ def _bench_point(offered_rate: float, n: int, concurrency: int, seed: int,
 
 
 def capacity_probe(n: int = 30_000, concurrency: int = DEFAULT_CONCURRENCY, *,
-                   seed: int = 42, window: float = 60.0) -> ThroughputPoint:
+                   seed: int = 42) -> ThroughputPoint:
     """Unpaced burst: how fast can the pipeline actually go on this host."""
-    return _bench_point(0.0, n, concurrency, seed, window,
+    return _bench_point(0.0, PROBE_RATE, n / PROBE_RATE, concurrency, seed,
                         pace_s=None, batch_size=64)
 
 
 def throughput_bench(rates: list[float], duration: float = 10.0,
                      concurrency: int = DEFAULT_CONCURRENCY, *,
-                     seed: int = 42, window: float = 60.0) -> list[ThroughputPoint]:
+                     seed: int = 42) -> list[ThroughputPoint]:
     """Paced offered-load runs; reports measured, host-dependent numbers.
 
     A rate the host cannot sustain shows up as achieved < offered, never as
@@ -517,11 +498,10 @@ def throughput_bench(rates: list[float], duration: float = 10.0,
     for rate in rates:
         if rate <= 0:
             raise ValueError("rates must be positive")
-        n = int(round(rate * duration))
         # ~5 ms dispatch ticks; low rates degrade to per-request dispatch
         batch_size = max(1, int(round(rate * 0.005)))
         pace_s = batch_size / rate
-        points.append(_bench_point(rate, n, concurrency, seed, window,
+        points.append(_bench_point(rate, rate, duration, concurrency, seed,
                                    pace_s=pace_s, batch_size=batch_size))
     return points
 

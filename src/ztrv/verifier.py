@@ -16,6 +16,7 @@ production runs Mode.FULL.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -124,6 +125,11 @@ class VerifierConfig:
     context_fields: tuple[str, ...] = DEFAULT_CONTEXT_FIELDS
 
     def __post_init__(self):
+        # NaN passes the sign checks below, and a value whose milliseconds
+        # overflow a float would only fail later, in stage 3 of every verify
+        for name in ("window", "skew_tolerance"):
+            if not math.isfinite(getattr(self, name) * 1000):
+                raise ValueError(f"{name} must be finite")
         if self.window <= 0:
             raise ValueError("window must be positive")
         if self.skew_tolerance < 0:

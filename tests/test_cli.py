@@ -54,6 +54,9 @@ def test_unknown_flag():
     ["ttl-sweep", "--windows", "0"],
     ["ttl-sweep", "--windows", "5,x"],
     ["throughput", "--duration", "-2"],
+    ["ttl-sweep", "--windows", "nan"],
+    ["ttl-sweep", "--rate", "inf"],
+    ["throughput", "--duration", "nan"],
 ])
 def test_bad_flag_values_exit_one(argv):
     assert main(argv) == 1

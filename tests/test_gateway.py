@@ -133,6 +133,15 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(_write_config(tmp_path, request_body_limit=True))
     with pytest.raises(ConfigError, match="context_fields"):
         load_config(_write_config(tmp_path, context_fields="merchant_id"))
+    # json reads NaN and Infinity, and 1e400 as inf; each must fail here,
+    # not in stage 3 of every request the gateway would go on to serve.
+    # The number goes in as raw JSON text: json.dumps cannot write 1e400.
+    for key in ("window", "skew_tolerance"):
+        for text in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+            path = _write_config(tmp_path, **{key: "NUMBER"})
+            path.write_text(path.read_text().replace('"NUMBER"', text))
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -158,6 +167,16 @@ def test_parse_listen_address():
 # ---------------------------------------------------------------------------
 # end-to-end over HTTP
 # ---------------------------------------------------------------------------
+
+def test_wall_clock_never_steps_back(monkeypatch):
+    clock = gateway_module._WallClock()  # what ZtrvGateway.clock holds
+    readings = iter([5_000_000_000, 9_000_000_000, 2_000_000_000,
+                     8_000_000_000, 12_000_000_000])
+    monkeypatch.setattr(gateway_module.time, "time_ns", lambda: next(readings))
+    seen = [clock.now_ms() for _ in range(5)]
+    # the steps back to 2 s and 8 s are held at 9 s
+    assert seen == [5_000, 9_000, 9_000, 9_000, 12_000]
+
 
 def test_happy_path_forwards_upstream(gateway, merchant, make_request):
     request = make_request(now=gateway.clock.now_ms())

@@ -9,7 +9,6 @@ from ztrv import (
     AttackKind,
     AttackScenario,
     Mode,
-    SimClock,
     VIRTUAL_EPOCH_MS,
     capacity_probe,
     compute_context_hash,
@@ -263,13 +262,6 @@ def test_run_experiment_reproducible_scalars():
     assert a.registry_stats == b.registry_stats
 
 
-def test_run_experiment_uses_supplied_clock():
-    clock = SimClock.virtual(start_ms=VIRTUAL_EPOCH_MS)
-    run_experiment(Mode.FULL, None, rate=5, duration=2, seed=3, clock=clock)
-    # the clock advanced to the last request timestamp
-    assert clock.now_ms() == VIRTUAL_EPOCH_MS + int(9 * 1000 / 5)
-
-
 # ---------------------------------------------------------------------------
 # ttl sweep
 # ---------------------------------------------------------------------------
@@ -279,7 +271,8 @@ def test_ttl_sweep_matches_reference_registry():
     points = ttl_sweep([2, 5, 20], rate=rate, duration=duration, seed=13)
 
     issuer = sim_issuer(13)
-    workload = gen_legit_workload(rate, duration, 50, seed=13, issuer=issuer)
+    workload = gen_legit_workload(rate, duration, simharness.N_AGENTS, seed=13,
+                                  issuer=issuer)
     for point in points:
         ttl_ms = int(point.window * 1000) + 1  # window + 2*skew + 1, skew 0
         entries = {}

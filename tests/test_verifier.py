@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -221,6 +222,11 @@ def test_config_validation():
         VerifierConfig(window=0)
     with pytest.raises(ValueError):
         VerifierConfig(skew_tolerance=-1)
+    for bad in (math.nan, math.inf, -math.inf, 1e306):
+        with pytest.raises(ValueError, match="window"):
+            VerifierConfig(window=bad)
+        with pytest.raises(ValueError, match="skew_tolerance"):
+            VerifierConfig(skew_tolerance=bad)
     with pytest.raises(ValueError):
         VerifierConfig(context_fields=("merchant_id", "bogus"))
     with pytest.raises(ValueError):
