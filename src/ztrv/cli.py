@@ -110,6 +110,14 @@ def _ensure_out_dir(path_text: str) -> Path:
     return path
 
 
+def _check_replays(args) -> None:
+    # the cross-context and redirect scenarios each take --replays distinct
+    # mandates out of the --n legitimate ones
+    if args.replays > args.n:
+        raise UsageError(f"--replays ({args.replays}) must not exceed "
+                         f"--n ({args.n})")
+
+
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -150,6 +158,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_attack_eval(args) -> int:
+    _check_replays(args)
     out_dir = _ensure_out_dir(args.out)
     mode = Mode.parse(args.mode)
     reports = attack_eval(mode, n=args.n, seed=args.seed,
@@ -175,6 +184,7 @@ def cmd_attack_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    _check_replays(args)
     out_dir = _ensure_out_dir(args.out)
     reports = ablation_run(n=args.n, seed=args.seed,
                            replay_count=args.replays,
@@ -197,6 +207,10 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_ttl_sweep(args) -> int:
+    # the workload holds round(rate x duration) requests, as simharness counts
+    if round(args.rate * args.duration) < 1:
+        raise UsageError("--rate x --duration must round to at least one "
+                         "request")
     out_dir = _ensure_out_dir(args.out)
     points = ttl_sweep(args.windows, rate=args.rate, duration=args.duration,
                        seed=args.seed)

@@ -3,8 +3,12 @@
 The gateway sits between agents and a merchant/PSP backend.  A request is
 forwarded upstream only after the full verification pipeline accepts it, so
 rejection happens before any externally observable side effect.  Rejections
-are always HTTP 403 carrying the Decision JSON, including oversized or
-unparseable bodies (fail-closed: there is no 400 path).
+are always HTTP 403 carrying the Decision JSON (fail-closed: there is no 400
+path).  That includes oversized or unparseable bodies, and request heads the
+HTTP/1.1 reader here cannot read: it accepts only RFC 9112 syntax within the
+head limits http.client applies, and a body framed by one Content-Length.
+Any other request is answered with MalformedRequest and its connection
+closed.
 
 A mock merchant backend with an append-only ledger is included; the ledger
 is the ground truth for "did an attack reach the payment infrastructure"
@@ -13,9 +17,10 @@ in end-to-end tests.
 
 from __future__ import annotations
 
-import io
+import email.utils
 import json
 import logging
+import re
 import socket
 import threading
 import time
@@ -23,11 +28,11 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 
 from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
-from .verifier import Decision, Mode, VerifierConfig, verify
+from .verifier import Decision, Mode, Outcome, Reason, VerifierConfig, verify
 
 log = logging.getLogger("ztrv.gateway")
 
@@ -162,6 +167,32 @@ def load_config(path) -> GatewayConfig:
 # HTTP plumbing shared by gateway and mock merchant
 # ---------------------------------------------------------------------------
 
+# the head limits http.client applies: lines of at most MAX_LINE bytes, CRLF
+# included, and at most MAX_HEADERS header lines after the request line
+MAX_LINE = 65_536
+MAX_HEADERS = 100
+# bytes asked of one recv; a request that does not fit takes several
+RECV_SIZE = 8192
+
+_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+# RFC 9112 §3: method SP request-target SP HTTP-version, HTTP/1.x only
+_REQUEST_LINE = re.compile(rf"({_TOKEN}) ([!-~]+) HTTP/1\.([0-9])")
+# RFC 9112 §5: field-name ":" OWS field-value OWS.  A name must touch its
+# colon, so obs-fold and whitespace before the colon do not match; nor does
+# a control character other than HTAB, bare CR and LF included.
+_FIELD_LINE = re.compile(rf"({_TOKEN}):([\t\x20-\x7e\x80-\xff]*)")
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_TEXT_PLAIN = {"Content-Type": "text/plain"}
+# (status, body, headers) of a request no route serves
+_NOT_FOUND = (404, json.dumps({"error": "not found"}).encode("utf-8"), {})
+# of a request head that cannot be read: the decision stage 1 gives an
+# unreadable body
+_MALFORMED = (403, json.dumps({"outcome": Outcome.REJECT.value,
+                               "reason": Reason.MALFORMED_REQUEST.value,
+                               "mandate_id": ""}).encode("utf-8"), {})
+
+
 class _WallClock:
     """Unix milliseconds from the system clock, never decreasing.
 
@@ -182,14 +213,54 @@ class _WallClock:
             return self._now
 
 
-class _Listener(HTTPServer):
-    # a burst beyond the waiting workers waits in the kernel's accept queue
-    # instead of having its SYNs dropped at TCPServer's default of 5
-    request_queue_size = LISTEN_BACKLOG
+def _parse_head(head: bytearray,
+                ) -> tuple[str, str, bool, dict[str, str]] | None:
+    """``(method, target, http11, fields)`` of a request head, or None.
+
+    ``head`` ends before the empty line.  ``http11`` is true for HTTP/1.1
+    and later minor versions.  Field names are lower-cased; a field sent
+    several times has its values joined by ", " (RFC 9110 §5.3).  None means
+    the head breaks RFC 9112's syntax or the limits above.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    if len(lines) > MAX_HEADERS + 1:
+        return None
+    if len(head) > MAX_LINE - 2 and any(len(line) > MAX_LINE - 2
+                                        for line in lines):
+        return None
+    request = _REQUEST_LINE.fullmatch(lines[0])
+    if request is None:
+        return None
+    fields: dict[str, str] = {}
+    for line in lines[1:]:
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
+            return None
+        name, value = field[1].lower(), field[2].strip(" \t")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    return request[1], request[2], request[3] != "0", fields
+
+
+def _receive(conn: socket.socket, buffer: bytearray, recv_buffer: memoryview,
+             deadline: float) -> int:
+    """Append the next bytes ``conn`` delivers to ``buffer``; 0 at its end.
+
+    Raises TimeoutError once ``deadline`` (monotonic) has passed.  A timeout
+    per read alone would let a client that trickles a byte now and then hold
+    its connection for good.
+    """
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("request not read in time")
+    conn.settimeout(remaining)
+    count = conn.recv_into(recv_buffer)
+    buffer += recv_buffer[:count]
+    return count
 
 
 class _HttpService:
-    """An HTTP server whose handler threads each accept their own connections.
+    """An HTTP/1.1 server whose handler threads each accept their own
+    connections.
 
     HANDLER_THREADS workers are started up front, each blocked in
     ``accept()`` on the shared listener.  A worker serves the connection it
@@ -199,26 +270,38 @@ class _HttpService:
     to end; a worker that finishes while HANDLER_THREADS others wait exits.
     No thread is started per connection while fewer than HANDLER_THREADS
     connections are open.
+
+    Each request is read by ``_serve_connection`` and answered by the
+    subclass's ``route``.
     """
 
-    def __init__(self, host: str, port: int, handler_cls):
-        self._server = _Listener((host, port), handler_cls)
+    def __init__(self, host: str, port: int, body_limit: int):
+        # create_server sets SO_REUSEADDR; a burst beyond the waiting workers
+        # waits in the kernel's accept queue instead of having its SYNs dropped
+        self._listener = socket.create_server((host, port),
+                                              backlog=LISTEN_BACKLOG)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._body_limit = body_limit
+        self._date = (0, "")  # (unix second, its Date header value)
         self._lock = threading.Lock()
         self._workers: set[threading.Thread] = set()
         self._waiting = 0  # workers in accept() or on their way back to it
         self._stopping = threading.Event()
 
     @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_port
-
-    @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    def route(self, method: str, path: str, fields: dict[str, str],
+              body: bytes | None) -> tuple[int, bytes, dict]:
+        """``(status, body, headers)`` answering one GET or POST request.
+
+        ``fields`` are the request's header fields by lower-cased name.
+        ``body`` is None when it could not be read; the connection is
+        closed after the answer.  The answer's Content-Type is JSON unless
+        ``headers`` names another.
+        """
+        raise NotImplementedError
 
     def start(self) -> "_HttpService":
         with self._lock:
@@ -236,8 +319,8 @@ class _HttpService:
         self._waiting += 1
 
     def _serve(self) -> None:
-        server = self._server
-        listener = server.socket
+        listener = self._listener
+        recv_buffer = memoryview(bytearray(RECV_SIZE))
         while True:
             try:
                 # looked up on every call, never cached: perfbench counts
@@ -261,16 +344,145 @@ class _HttpService:
                         # backlog until a worker is free
                         log.warning("cannot start a handler thread: %s", exc)
             try:
-                server.finish_request(conn, address)
+                self._serve_connection(conn, address[0], recv_buffer)
+            except OSError:
+                pass  # timed out, or the client went away: nothing to answer
             except Exception:
-                server.handle_error(conn, address)
+                log.exception("error serving a connection from %s",
+                              address[0])
             finally:
-                server.shutdown_request(conn)
+                try:
+                    conn.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass  # already reset by the client
+                conn.close()
             with self._lock:
                 if self._waiting >= HANDLER_THREADS:
                     self._workers.discard(threading.current_thread())
                     return
                 self._waiting += 1
+
+    def _serve_connection(self, conn: socket.socket, client: str,
+                          recv_buffer: memoryview) -> None:
+        """Answer the requests on ``conn`` until it is to be closed.
+
+        Each request has READ_TIMEOUT_S from the wait for its first byte to
+        the end of its body.  A head not read by then, or cut off by the
+        client, closes the connection unanswered; a head that cannot be read
+        gets the 403 in _MALFORMED and the connection is closed.  Bytes read
+        past a request's body start the next request.
+        """
+        buffer = bytearray()
+        while True:
+            deadline = time.monotonic() + READ_TIMEOUT_S
+            end = buffer.find(b"\r\n\r\n")
+            while end < 0:
+                # limits on the head so far: its last line, its line count,
+                # and bare LF line ends, which this reader does not accept
+                if (len(buffer) - buffer.rfind(b"\n") > MAX_LINE
+                        or buffer.count(b"\n") > MAX_HEADERS + 1
+                        or b"\n\n" in buffer):
+                    break
+                searched = max(0, len(buffer) - 3)
+                if not _receive(conn, buffer, recv_buffer, deadline):
+                    return
+                end = buffer.find(b"\r\n\r\n", searched)
+            if end < 0:
+                head, request = buffer, None
+            else:
+                head = buffer[:end]
+                del buffer[:end + 4]
+                request = _parse_head(head)
+            if request is None:
+                status, payload, headers = _MALFORMED
+                keep_alive = False
+            else:
+                method, path, http11, fields = request
+                keep_alive = http11
+                connection = fields.get("connection")
+                if connection is not None:
+                    options = {option.strip()
+                               for option in connection.lower().split(",")}
+                    if "close" in options:
+                        keep_alive = False
+                    elif "keep-alive" in options:
+                        keep_alive = True
+                if method == "GET" or method == "POST":
+                    body = self._read_body(conn, buffer, recv_buffer, deadline,
+                                           method, fields, http11)
+                    if body is None:
+                        # rejected without parsing; drop the connection
+                        # rather than draining the stream
+                        keep_alive = False
+                    status, payload, headers = self.route(method, path,
+                                                          fields, body)
+                else:
+                    # closed after the answer: its body is not read, and
+                    # a HEAD request would not expect the answer's body
+                    status, payload, headers = _NOT_FOUND
+                    keep_alive = False
+            if log.isEnabledFor(logging.DEBUG):
+                # before the answer, so that a client that has it can find
+                # the line
+                line = head.partition(b"\r\n")[0].decode("latin-1")
+                log.debug('%s "%s" %d', client, line, status)
+            self._respond(conn, status, payload, headers, keep_alive)
+            if not keep_alive:
+                return
+
+    def _read_body(self, conn: socket.socket, buffer: bytearray,
+                   recv_buffer: memoryview, deadline: float, method: str,
+                   fields: dict[str, str], http11: bool) -> bytes | None:
+        """The request body, taken from the front of ``buffer``, or None.
+
+        None means the body cannot be read: any Transfer-Encoding; a
+        Content-Length that is not 1*DIGIT (RFC 9110 §8.6), several of them
+        included, or that is over the body limit; none on a POST; or a body
+        not delivered by ``deadline``.
+        """
+        length_text = fields.get("content-length")
+        if "transfer-encoding" in fields:
+            return None
+        if length_text is None:
+            return b"" if method == "GET" else None
+        if not (length_text.isascii() and length_text.isdigit()):
+            return None
+        try:
+            length = int(length_text)
+        except ValueError:
+            return None  # more digits than int() converts
+        if length > self._body_limit:
+            return None
+        if (http11 and length > len(buffer)
+                and fields.get("expect", "").lower() == "100-continue"):
+            conn.sendall(_CONTINUE)
+        try:
+            while len(buffer) < length:
+                if not _receive(conn, buffer, recv_buffer, deadline):
+                    return None
+        except OSError:
+            return None
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        return body
+
+    def _respond(self, conn: socket.socket, status: int, body: bytes,
+                 headers: dict, keep_alive: bool) -> None:
+        second = int(time.time())
+        if self._date[0] != second:
+            self._date = (second, email.utils.formatdate(second, usegmt=True))
+        lines = [f"HTTP/1.1 {status} {_PHRASES.get(status, '')}",
+                 f"Date: {self._date[1]}",
+                 f"Content-Length: {len(body)}"]
+        if "Content-Type" not in headers:
+            lines.append("Content-Type: application/json")
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        if not keep_alive:
+            lines.append("Connection: close")
+        lines.append("\r\n")
+        # the head and the body in two sends; see README "Serving model"
+        conn.sendall("\r\n".join(lines).encode("latin-1"))
+        conn.sendall(body)
 
     def serve_forever(self) -> None:
         """Serve until shutdown() is called from another thread."""
@@ -288,10 +500,10 @@ class _HttpService:
             self._stopping.set()  # under the lock: no worker starts after it
             workers = list(self._workers)
         try:
-            self._server.socket.shutdown(socket.SHUT_RDWR)
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # already shut down and closed
-        self._server.server_close()
+        self._listener.close()
         deadline = time.monotonic() + SHUTDOWN_WAIT_S
         for worker in workers:
             worker.join(max(0.0, deadline - time.monotonic()))
@@ -301,63 +513,6 @@ class _HttpService:
 
     def __exit__(self, *exc_info):
         self.shutdown()
-
-
-class _DeadlineReader(socket.SocketIO):
-    """Socket reads that fail once ``deadline`` (monotonic) has passed.
-
-    A timeout per read alone would let a client that trickles a byte now and
-    then hold its connection for good.
-    """
-
-    deadline = 0.0
-
-    def readinto(self, b):
-        remaining = self.deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("request not read in time")
-        self._sock.settimeout(remaining)
-        return super().readinto(b)
-
-
-class _JsonHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    timeout = READ_TIMEOUT_S
-
-    def setup(self):
-        super().setup()
-        self.rfile.close()
-        self._reader = _DeadlineReader(self.connection, "rb")
-        self.rfile = io.BufferedReader(self._reader)
-
-    def handle_one_request(self):
-        # one deadline for the whole request; on its TimeoutError the base
-        # class closes the connection, and the gateway's body read answers
-        # with a 403 first
-        self._reader.deadline = time.monotonic() + self.timeout
-        super().handle_one_request()
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s %s", self.address_string(), format % args)
-
-    def send_payload(self, status: int, body: bytes,
-                     content_type: str = "application/json",
-                     extra_headers: dict | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def send_json(self, status: int, obj,
-                  extra_headers: dict | None = None) -> None:
-        self.send_payload(status, json.dumps(obj).encode("utf-8"),
-                          extra_headers=extra_headers)
 
 
 # ---------------------------------------------------------------------------
@@ -379,54 +534,25 @@ class ZtrvGateway(_HttpService):
             else Keystore.from_file(config.keystore_path)
         self.registry = NonceRegistry()
         self.clock = _WallClock()
-        gateway = self
-
-        class Handler(_JsonHandler):
-            def do_POST(self):
-                if self.path != "/execute":
-                    self.send_json(404, {"error": "not found"})
-                    return
-                body = self._read_body()
-                if body is None:
-                    # oversized or unreadable: rejected without parsing;
-                    # drop the connection rather than draining the stream
-                    self.close_connection = True
-                status, payload, headers = gateway.handle_execute(body)
-                self.send_payload(status, payload, extra_headers=headers)
-
-            def do_GET(self):
-                if self.path == "/healthz":
-                    self.send_payload(200, b"ok", content_type="text/plain")
-                elif self.path == "/stats":
-                    stats = gateway.registry.stats()
-                    self.send_json(200, {
-                        "live_count": stats.live_count,
-                        "peak_count": stats.peak_count,
-                        "evicted_total": stats.evicted_total,
-                        "bytes_estimate": stats.bytes_estimate,
-                    })
-                else:
-                    self.send_json(404, {"error": "not found"})
-
-            def _read_body(self) -> bytes | None:
-                if "Transfer-Encoding" in self.headers:
-                    return None
-                length_text = self.headers.get("Content-Length")
-                if length_text is None:
-                    return None
-                try:
-                    length = int(length_text)
-                except ValueError:
-                    return None
-                if length < 0 or length > gateway.config.request_body_limit:
-                    return None
-                try:
-                    return self.rfile.read(length)
-                except OSError:
-                    return None
-
         host, port = parse_listen_address(config.listen_address)
-        super().__init__(host, port, Handler)
+        super().__init__(host, port, config.request_body_limit)
+
+    def route(self, method: str, path: str, fields: dict[str, str],
+              body: bytes | None) -> tuple[int, bytes, dict]:
+        if method == "POST":
+            if path == "/execute":
+                return self.handle_execute(body)
+        elif path == "/healthz":
+            return 200, b"ok", _TEXT_PLAIN
+        elif path == "/stats":
+            stats = self.registry.stats()
+            return 200, json.dumps({
+                "live_count": stats.live_count,
+                "peak_count": stats.peak_count,
+                "evicted_total": stats.evicted_total,
+                "bytes_estimate": stats.bytes_estimate,
+            }).encode("utf-8"), {}
+        return _NOT_FOUND
 
     def handle_execute(self, body: bytes | None) -> tuple[int, bytes, dict]:
         """Core /execute logic; returns (status, response body, headers).
@@ -501,32 +627,26 @@ class MerchantLedger:
 
 
 class MockMerchant(_HttpService):
-    """Trivial upstream: acknowledges everything and writes the ledger."""
+    """Trivial upstream: acknowledges every POST and writes the ledger."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.ledger = MerchantLedger()
         self.clock = _WallClock()
-        merchant = self
+        super().__init__(host, port, DEFAULT_BODY_LIMIT)
 
-        class Handler(_JsonHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0) or 0)
-                body = self.rfile.read(length) if length > 0 else b""
-                mandate_id = ""
-                try:
-                    obj = json.loads(body)
-                    mandate_id = obj["mandate"]["mandate_id"]
-                except (ValueError, KeyError, TypeError):
-                    pass
-                merchant.ledger.record(mandate_id, merchant.clock.now_ms())
-                self.send_json(200, {"fulfilled": mandate_id})
-
-            def do_GET(self):
-                if self.path == "/ledger":
-                    entries = [{"mandate_id": mid, "at_ms": at}
-                               for mid, at in merchant.ledger.entries()]
-                    self.send_json(200, {"entries": entries})
-                else:
-                    self.send_json(404, {"error": "not found"})
-
-        super().__init__(host, port, Handler)
+    def route(self, method: str, path: str, fields: dict[str, str],
+              body: bytes | None) -> tuple[int, bytes, dict]:
+        if method == "POST":
+            mandate_id = ""
+            try:
+                mandate_id = json.loads(body)["mandate"]["mandate_id"]
+            except (ValueError, KeyError, TypeError):
+                pass  # an unreadable body (None) is a TypeError
+            self.ledger.record(mandate_id, self.clock.now_ms())
+            payload = {"fulfilled": mandate_id}
+            return 200, json.dumps(payload).encode("utf-8"), {}
+        if path == "/ledger":
+            entries = [{"mandate_id": mid, "at_ms": at}
+                       for mid, at in self.ledger.entries()]
+            return 200, json.dumps({"entries": entries}).encode("utf-8"), {}
+        return _NOT_FOUND

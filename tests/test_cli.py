@@ -57,6 +57,10 @@ def test_unknown_flag():
     ["ttl-sweep", "--windows", "nan"],
     ["ttl-sweep", "--rate", "inf"],
     ["throughput", "--duration", "nan"],
+    ["ttl-sweep", "--rate", "0.01", "--duration", "10"],
+    ["ttl-sweep", "--rate", "0.05", "--duration", "10"],
+    ["attack-eval", "--n", "50", "--replays", "100"],
+    ["ablation", "--n", "50", "--replays", "51"],
 ])
 def test_bad_flag_values_exit_one(argv):
     assert main(argv) == 1

@@ -398,8 +398,7 @@ SHORT_TIMEOUT_S = 0.5
 @pytest.fixture
 def pooled_gateway(keystore, monkeypatch):
     """A started gateway whose connections time out after SHORT_TIMEOUT_S."""
-    monkeypatch.setattr(gateway_module._JsonHandler, "timeout",
-                        SHORT_TIMEOUT_S)
+    monkeypatch.setattr(gateway_module, "READ_TIMEOUT_S", SHORT_TIMEOUT_S)
     with ZtrvGateway(_idle_config(), keystore=keystore) as server:
         yield server
 
@@ -541,3 +540,149 @@ def test_access_log_at_debug(idle_gateway, caplog):
     assert _get(f"{idle_gateway.base_url}/healthz")[0] == 200
     assert any('"GET /healthz HTTP/1.1" 200' in record.getMessage()
                for record in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# request reader: RFC 9112 syntax, the head limits and body framing
+# ---------------------------------------------------------------------------
+
+MALFORMED = {"outcome": "REJECT", "reason": "MalformedRequest",
+             "mandate_id": ""}
+
+
+def _exchange(service, data: bytes) -> list[tuple[int, dict, bytes]]:
+    """Send ``data`` on a new connection and read until the server closes
+    it; ``(status, headers, body)`` of each response, in order."""
+    received = b""
+    with socket.create_connection((service.host, service.port),
+                                  timeout=10 * SHORT_TIMEOUT_S) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # closed with request bytes still unread
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {name.lower(): value.strip() for name, _, value in
+                   (line.partition(":") for line in lines)}
+        length = int(headers.get("content-length", 0))
+        responses.append((int(status_line.split()[1]), headers, rest[:length]))
+        received = rest[length:]
+    return responses
+
+
+def _assert_malformed_and_closed(responses):
+    # one answer only: nothing sent after the rejected request is read
+    assert len(responses) == 1
+    status, headers, body = responses[0]
+    assert status == 403
+    assert headers["connection"] == "close"
+    assert json.loads(body) == MALFORMED
+
+
+@pytest.mark.parametrize("framing", [
+    b"Content-Length: 0_7\r\n",
+    b"Content-Length: +7\r\n",
+    b"Content-Length: 7\r\nContent-Length: 3\r\n",
+    b"Content-Length: 7\r\nContent-Length: 7\r\n",
+    b"Content-Length: 7, 7\r\n",
+    b"Transfer-Encoding: chunked\r\nContent-Length: 7\r\n",
+], ids=["underscore", "plus", "two-values", "twice", "list", "chunked"])
+def test_body_framing_other_than_one_content_length_is_unreadable(
+        pooled_gateway, framing):
+    # a GET pipelined after a 7-byte body: a reader that takes any of these
+    # framings as 7 answers it, one that takes 3 reads garbage
+    request = (b"POST /execute HTTP/1.1\r\nHost: ztrv\r\n" + framing +
+               b"\r\n" + b'{"a":1}' + b"GET /healthz HTTP/1.1\r\n\r\n")
+    _assert_malformed_and_closed(_exchange(pooled_gateway, request))
+
+
+@pytest.mark.parametrize("head", [
+    b"hello\r\n\r\n",
+    b"\r\nGET /healthz HTTP/1.1\r\n\r\n",
+    b"GET /healthz\r\n\r\n",
+    b"GET  /healthz HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/2.0\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nHost: ztrv\r\n folded\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nHost : ztrv\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nHost\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-A: b\rc\r\n\r\n",
+    b"GET /healthz HTTP/1.1\nHost: ztrv\n\n",
+    b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 101 + b"\r\n",
+    b"GET /" + b"a" * 65_530 + b" HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-A: " + b"b" * 65_530 + b"\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-A: " + b"b" * 200_000 + b"\r\n\r\n",
+], ids=["garbage", "empty-line-first", "http-0.9", "double-space",
+        "http-2", "obs-fold", "space-before-colon", "no-colon", "bare-cr",
+        "bare-lf", "101-headers", "long-request-line", "long-header-line",
+        "unterminated-line"])
+def test_unreadable_head_is_a_malformed_decision(pooled_gateway, head):
+    _assert_malformed_and_closed(_exchange(pooled_gateway, head))
+
+
+@pytest.mark.parametrize("path, fields", [
+    (b"/healthz", b"X-A: b\r\n" * 99),
+    (b"/healthz?" + b"a" * 65_512, b""),
+    (b"/healthz", b"X-A: " + b"b" * 65_529 + b"\r\n"),
+], ids=["100-headers", "long-request-line", "long-header-line"])
+def test_head_at_the_limits_is_read(pooled_gateway, path, fields):
+    # lines of up to 65,536 bytes, CRLF included, and 100 header lines
+    head = (b"GET " + path + b" HTTP/1.1\r\n" + fields +
+            b"Connection: close\r\n")
+    lines = head.split(b"\r\n")[:-1]
+    assert len(lines) <= 101
+    assert max(len(line) + 2 for line in lines) <= 65_536
+    responses = _exchange(pooled_gateway, head + b"\r\n")
+    assert [status for status, _, _ in responses] == \
+        [200 if path == b"/healthz" else 404]
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD", "OPTIONS"])
+def test_method_no_route_serves_is_not_found(pooled_gateway, method):
+    request = (f"{method} /execute HTTP/1.1\r\nHost: ztrv\r\n"
+               "Content-Length: 2\r\n\r\n{}").encode()
+    responses = _exchange(pooled_gateway, request)
+    assert [(status, json.loads(body)) for status, _, body in responses] \
+        == [(404, {"error": "not found"})]
+
+
+def test_pipelined_requests_are_answered_in_order(pooled_gateway):
+    responses = _exchange(pooled_gateway,
+                          b"POST /execute HTTP/1.1\r\nContent-Length: \t2 \r\n"
+                          b"\r\n{}GET /healthz HTTP/1.1\r\n\r\n"
+                          b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert [status for status, _, _ in responses] == [403, 200, 404]
+    assert json.loads(responses[0][2]) == MALFORMED
+    assert responses[1][1]["content-type"] == "text/plain"
+    assert all("date" in headers for _, headers, _ in responses)
+
+
+def test_http10_closes_unless_kept_alive(pooled_gateway):
+    twice = b"GET /healthz HTTP/1.0\r\n\r\n" * 2
+    assert [status for status, _, _ in _exchange(pooled_gateway, twice)] \
+        == [200]
+    kept = (b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert [status for status, _, _ in _exchange(pooled_gateway, kept)] \
+        == [200, 200]
+
+
+def test_expect_100_continue(pooled_gateway):
+    address = (pooled_gateway.host, pooled_gateway.port)
+    with socket.create_connection(address,
+                                  timeout=10 * SHORT_TIMEOUT_S) as sock:
+        sock.sendall(b"POST /execute HTTP/1.1\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: 2\r\nConnection: close\r\n\r\n")
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(b"{}")
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 403 Forbidden\r\n")
+    assert json.loads(response.partition(b"\r\n\r\n")[2]) == MALFORMED

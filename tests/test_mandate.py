@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ztrv import (
@@ -128,6 +128,36 @@ def test_canonical_encode_injectivity_sampled():
         seen_encodings.add(canonical_encode(fields[0], fields[1], fields[2],
                                             fields[3], payload))
     assert len(seen_encodings) == len(seen_tuples)
+
+
+_encode_fields = st.tuples(st.text(), st.text(), st.integers(min_value=0),
+                           st.text(), st.integers(min_value=0), st.text())
+
+
+@st.composite
+def _moved_boundary(draw, fields):
+    """``fields`` with the boundary between two neighbours moved: the pair a
+    plain concatenation of the six fields could not tell apart."""
+    parts = [str(value) for value in fields]
+    i = draw(st.integers(min_value=0, max_value=4))
+    joined = parts[i] + parts[i + 1]
+    cut = draw(st.integers(min_value=0, max_value=len(joined)))
+    parts[i], parts[i + 1] = joined[:cut], joined[cut:]
+    for k in (2, 4):  # issued_at and amount stay canonical decimal
+        assume(parts[k].isascii() and parts[k].isdigit()
+               and str(int(parts[k])) == parts[k])
+    return (parts[0], parts[1], int(parts[2]), parts[3], int(parts[4]),
+            parts[5])
+
+
+def _encode(fields) -> bytes:
+    return canonical_encode(*fields[:4], PaymentPayload(*fields[4:]))
+
+
+@given(a=_encode_fields, data=st.data())
+def test_canonical_encode_is_injective(a, data):
+    b = data.draw(st.one_of(_encode_fields, _moved_boundary(a)))
+    assert (_encode(a) == _encode(b)) == (a == b)
 
 
 # ---------------------------------------------------------------------------
