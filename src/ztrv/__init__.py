@@ -34,25 +34,16 @@ from .verifier import (
     verify,
 )
 from .gateway import ConfigError, GatewayConfig, MockMerchant, ZtrvGateway, load_config
-from .simharness import (
-    VIRTUAL_EPOCH_MS,
-    AttackKind,
-    AttackScenario,
-    SimReport,
-    ThroughputPoint,
-    TimedRequest,
-    TtlSweepPoint,
-    ablation_run,
-    attack_eval,
-    capacity_probe,
-    gen_legit_workload,
-    inject_attack,
-    interception_matrix,
-    run_experiment,
-    sim_issuer,
-    throughput_bench,
-    ttl_sweep,
-)
+
+
+def __getattr__(name: str):
+    # PEP 562: called for names not bound above.  Those in __all__ are the
+    # experiment harness's, imported on first use: serving needs none of it.
+    if name in __all__:
+        from . import simharness
+        return getattr(simharness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,13 @@ head limits http.client applies, and a body framed by one Content-Length.
 Any other request is answered with MalformedRequest and its connection
 closed.
 
+An accepted request is forwarded as one HTTP/1.0 POST on a new connection,
+and the upstream's answer is read by the same reader under one deadline for
+the whole exchange.  An upstream that cannot be reached, or whose answer
+cannot be read, gets the agent a 502 carrying the decision; the nonce stays
+consumed.  The module needs no urllib.request, http.client or email; only
+a gateway with an https upstream loads ssl.
+
 A mock merchant backend with an append-only ledger is included; the ledger
 is the ground truth for "did an attack reach the payment infrastructure"
 in end-to-end tests.
@@ -17,16 +24,13 @@ in end-to-end tests.
 
 from __future__ import annotations
 
-import email.utils
 import json
 import logging
 import re
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from http import HTTPStatus
 
@@ -75,6 +79,41 @@ def parse_listen_address(address: str) -> tuple[str, int]:
     return host, port
 
 
+# the characters a request-target may hold (_REQUEST_LINE), and so the
+# characters of an upstream URL
+_URL = re.compile(r"[!-~]+")
+
+
+def parse_upstream_url(url: str) -> tuple[bool, str, int, bytes]:
+    """``(tls, host, port, head)`` for forwarding to ``url``.
+
+    ``tls`` is true for https.  ``head`` is the forwarded request's head up
+    to the Content-Length value: an HTTP/1.0 POST to the URL's path and
+    query.  Raises ConfigError unless ``url`` is an http(s) URL with a host
+    whose characters all fit in a request line.
+    """
+    error = ConfigError("upstream_url must be an http(s) URL")
+    if _URL.fullmatch(url) is None:
+        raise error
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port
+    except ValueError:  # brackets that do not close, a port not in range
+        raise error from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise error
+    tls = parts.scheme == "https"
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    head = (f"POST {target} HTTP/1.0\r\n"
+            f"Host: {parts.netloc.rpartition('@')[2]}\r\n"
+            "Content-Type: application/json\r\n"
+            "X-ZTRV-Decision: ACCEPT\r\n"
+            "Content-Length: ").encode("ascii")
+    return tls, parts.hostname, port or (443 if tls else 80), head
+
+
 _CONFIG_KEYS = frozenset({
     "listen_address", "upstream_url", "keystore_path", "request_body_limit",
     "mode", "window", "skew_tolerance", "context_fields",
@@ -117,9 +156,7 @@ def load_config(path) -> GatewayConfig:
     parse_listen_address(listen_address)
 
     upstream_url = _config_str(obj, "upstream_url")
-    parts = urllib.parse.urlsplit(upstream_url)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
-        raise ConfigError("upstream_url must be an http(s) URL")
+    parse_upstream_url(upstream_url)
 
     keystore_path = _config_str(obj, "keystore_path")
 
@@ -177,11 +214,20 @@ RECV_SIZE = 8192
 _TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
 # RFC 9112 §3: method SP request-target SP HTTP-version, HTTP/1.x only
 _REQUEST_LINE = re.compile(rf"({_TOKEN}) ([!-~]+) HTTP/1\.([0-9])")
+# RFC 9112 §4: HTTP-version SP status-code [SP reason-phrase], HTTP/1.x only.
+# Only a final status, 2xx to 5xx, is taken: a 1xx answer to an HTTP/1.0
+# request breaks RFC 9110 §15.2, and relayed it would read as an interim one.
+_STATUS_LINE = re.compile(
+    r"HTTP/1\.[0-9] ([2-5][0-9][0-9])(?: [\t\x20-\x7e\x80-\xff]*)?")
 # RFC 9112 §5: field-name ":" OWS field-value OWS.  A name must touch its
 # colon, so obs-fold and whitespace before the colon do not match; nor does
 # a control character other than HTAB, bare CR and LF included.
 _FIELD_LINE = re.compile(rf"({_TOKEN}):([\t\x20-\x7e\x80-\xff]*)")
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
+# RFC 9110 §5.6.7 names, in English whatever the locale
+_DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+                "Oct", "Nov", "Dec")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _TEXT_PLAIN = {"Content-Type": "text/plain"}
 # (status, body, headers) of a request no route serves
@@ -213,12 +259,20 @@ class _WallClock:
             return self._now
 
 
-def _parse_head(head: bytearray,
-                ) -> tuple[str, str, bool, dict[str, str]] | None:
-    """``(method, target, http11, fields)`` of a request head, or None.
+def _http_date(second: int) -> str:
+    """The RFC 9110 IMF-fixdate of a Unix second, as a Date field value."""
+    t = time.gmtime(second)
+    return (f"{_DAY_NAMES[t.tm_wday]}, {t.tm_mday:02d} "
+            f"{_MONTH_NAMES[t.tm_mon - 1]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
-    ``head`` ends before the empty line.  ``http11`` is true for HTTP/1.1
-    and later minor versions.  Field names are lower-cased; a field sent
+
+def _parse_head(head: bytearray, start_line: re.Pattern,
+                ) -> tuple[re.Match, dict[str, str]] | None:
+    """``(start, fields)`` of a message head, or None.
+
+    ``head`` ends before the empty line.  ``start`` is ``start_line``
+    matched on the first line.  Field names are lower-cased; a field sent
     several times has its values joined by ", " (RFC 9110 §5.3).  None means
     the head breaks RFC 9112's syntax or the limits above.
     """
@@ -228,8 +282,8 @@ def _parse_head(head: bytearray,
     if len(head) > MAX_LINE - 2 and any(len(line) > MAX_LINE - 2
                                         for line in lines):
         return None
-    request = _REQUEST_LINE.fullmatch(lines[0])
-    if request is None:
+    start = start_line.fullmatch(lines[0])
+    if start is None:
         return None
     fields: dict[str, str] = {}
     for line in lines[1:]:
@@ -238,7 +292,35 @@ def _parse_head(head: bytearray,
             return None
         name, value = field[1].lower(), field[2].strip(" \t")
         fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    return request[1], request[2], request[3] != "0", fields
+    return start, fields
+
+
+def _framed_length(fields: dict[str, str]) -> int | None:
+    """The body length a head's fields state, -1 if they state none, or None.
+
+    None means the framing cannot be read: any Transfer-Encoding, or a
+    Content-Length that is not 1*DIGIT (RFC 9110 §8.6), several of them
+    included.
+    """
+    if "transfer-encoding" in fields:
+        return None
+    length_text = fields.get("content-length")
+    if length_text is None:
+        return -1
+    if not (length_text.isascii() and length_text.isdigit()):
+        return None
+    try:
+        return int(length_text)
+    except ValueError:
+        return None  # more digits than int() converts
+
+
+def _remaining(deadline: float) -> float:
+    """Seconds left until ``deadline`` (monotonic); TimeoutError if none."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("deadline passed")
+    return remaining
 
 
 def _receive(conn: socket.socket, buffer: bytearray, recv_buffer: memoryview,
@@ -246,16 +328,41 @@ def _receive(conn: socket.socket, buffer: bytearray, recv_buffer: memoryview,
     """Append the next bytes ``conn`` delivers to ``buffer``; 0 at its end.
 
     Raises TimeoutError once ``deadline`` (monotonic) has passed.  A timeout
-    per read alone would let a client that trickles a byte now and then hold
+    per read alone would let a peer that trickles a byte now and then hold
     its connection for good.
     """
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise TimeoutError("request not read in time")
-    conn.settimeout(remaining)
+    conn.settimeout(_remaining(deadline))
     count = conn.recv_into(recv_buffer)
     buffer += recv_buffer[:count]
     return count
+
+
+def _read_head(conn: socket.socket, buffer: bytearray,
+               recv_buffer: memoryview, deadline: float) -> bytearray | None:
+    """The message head at the front of ``buffer``, read from ``conn`` as
+    needed.
+
+    The head and the empty line that ends it are taken from ``buffer``;
+    bytes after them stay there.  None means the head breaks the limits
+    above, or ends its lines with a bare LF, which this reader does not
+    accept; ``buffer`` then holds what was read.  Raises EOFError when
+    ``conn`` ends before the head does, and TimeoutError once ``deadline``
+    has passed.
+    """
+    end = buffer.find(b"\r\n\r\n")
+    while end < 0:
+        # limits on the head so far: its last line and its line count
+        if (len(buffer) - buffer.rfind(b"\n") > MAX_LINE
+                or buffer.count(b"\n") > MAX_HEADERS + 1
+                or b"\n\n" in buffer):
+            return None
+        searched = max(0, len(buffer) - 3)
+        if not _receive(conn, buffer, recv_buffer, deadline):
+            raise EOFError("closed before the end of the head")
+        end = buffer.find(b"\r\n\r\n", searched)
+    head = buffer[:end]
+    del buffer[:end + 4]
+    return head
 
 
 class _HttpService:
@@ -375,29 +482,21 @@ class _HttpService:
         buffer = bytearray()
         while True:
             deadline = time.monotonic() + READ_TIMEOUT_S
-            end = buffer.find(b"\r\n\r\n")
-            while end < 0:
-                # limits on the head so far: its last line, its line count,
-                # and bare LF line ends, which this reader does not accept
-                if (len(buffer) - buffer.rfind(b"\n") > MAX_LINE
-                        or buffer.count(b"\n") > MAX_HEADERS + 1
-                        or b"\n\n" in buffer):
-                    break
-                searched = max(0, len(buffer) - 3)
-                if not _receive(conn, buffer, recv_buffer, deadline):
-                    return
-                end = buffer.find(b"\r\n\r\n", searched)
-            if end < 0:
+            try:
+                head = _read_head(conn, buffer, recv_buffer, deadline)
+            except EOFError:
+                return
+            if head is None:
                 head, request = buffer, None
             else:
-                head = buffer[:end]
-                del buffer[:end + 4]
-                request = _parse_head(head)
+                request = _parse_head(head, _REQUEST_LINE)
             if request is None:
                 status, payload, headers = _MALFORMED
                 keep_alive = False
             else:
-                method, path, http11, fields = request
+                start, fields = request
+                method, path, minor_version = start.groups()
+                http11 = minor_version != "0"
                 keep_alive = http11
                 connection = fields.get("connection")
                 if connection is not None:
@@ -435,24 +534,15 @@ class _HttpService:
                    fields: dict[str, str], http11: bool) -> bytes | None:
         """The request body, taken from the front of ``buffer``, or None.
 
-        None means the body cannot be read: any Transfer-Encoding; a
-        Content-Length that is not 1*DIGIT (RFC 9110 §8.6), several of them
-        included, or that is over the body limit; none on a POST; or a body
-        not delivered by ``deadline``.
+        None means the body cannot be read: framing _framed_length cannot
+        read; a Content-Length over the body limit; none on a POST; or a
+        body not delivered by ``deadline``.
         """
-        length_text = fields.get("content-length")
-        if "transfer-encoding" in fields:
+        length = _framed_length(fields)
+        if length is None or length > self._body_limit:
             return None
-        if length_text is None:
+        if length < 0:
             return b"" if method == "GET" else None
-        if not (length_text.isascii() and length_text.isdigit()):
-            return None
-        try:
-            length = int(length_text)
-        except ValueError:
-            return None  # more digits than int() converts
-        if length > self._body_limit:
-            return None
         if (http11 and length > len(buffer)
                 and fields.get("expect", "").lower() == "100-continue"):
             conn.sendall(_CONTINUE)
@@ -470,7 +560,7 @@ class _HttpService:
                  headers: dict, keep_alive: bool) -> None:
         second = int(time.time())
         if self._date[0] != second:
-            self._date = (second, email.utils.formatdate(second, usegmt=True))
+            self._date = (second, _http_date(second))
         lines = [f"HTTP/1.1 {status} {_PHRASES.get(status, '')}",
                  f"Date: {self._date[1]}",
                  f"Content-Length: {len(body)}"]
@@ -515,6 +605,41 @@ class _HttpService:
         self.shutdown()
 
 
+def _read_answer(conn: socket.socket, deadline: float,
+                 ) -> tuple[int, bytes] | None:
+    """``(status, body)`` of the answer to a request sent on ``conn``.
+
+    The request was HTTP/1.0, so the answer is not chunked (RFC 9112 §6.1):
+    its body ends after its one Content-Length, or where ``conn`` ends.
+    None means the answer cannot be read: a status line other than
+    ``HTTP/1.x`` and a final status, a head _parse_head or _framed_length
+    cannot read, or a body shorter than its length.  Raises TimeoutError
+    once ``deadline`` has passed.
+    """
+    buffer = bytearray()
+    recv_buffer = memoryview(bytearray(RECV_SIZE))
+    try:
+        head = _read_head(conn, buffer, recv_buffer, deadline)
+    except EOFError:
+        return None
+    answer = None if head is None else _parse_head(head, _STATUS_LINE)
+    if answer is None:
+        return None
+    status, fields = answer
+    length = _framed_length(fields)
+    if length is None:
+        return None
+    if length < 0:
+        while _receive(conn, buffer, recv_buffer, deadline):
+            pass
+    else:
+        while len(buffer) < length:
+            if not _receive(conn, buffer, recv_buffer, deadline):
+                return None
+        del buffer[length:]
+    return int(status[1]), bytes(buffer)
+
+
 # ---------------------------------------------------------------------------
 # Gateway
 # ---------------------------------------------------------------------------
@@ -534,6 +659,15 @@ class ZtrvGateway(_HttpService):
             else Keystore.from_file(config.keystore_path)
         self.registry = NonceRegistry()
         self.clock = _WallClock()
+        tls, upstream_host, upstream_port, self._forward_head = \
+            parse_upstream_url(config.upstream_url)
+        self._upstream = (upstream_host, upstream_port)
+        self._tls = None
+        if tls:
+            # only a gateway with an https upstream loads OpenSSL; one
+            # verifying context serves every forward
+            import ssl
+            self._tls = ssl.create_default_context()
         host, port = parse_listen_address(config.listen_address)
         super().__init__(host, port, config.request_body_limit)
 
@@ -577,25 +711,47 @@ class ZtrvGateway(_HttpService):
         return self._forward(body, decision)
 
     def _forward(self, body: bytes, decision: Decision) -> tuple[int, bytes, dict]:
-        upstream = urllib.request.Request(
-            self.config.upstream_url, data=body, method="POST",
-            headers={"Content-Type": "application/json",
-                     "X-ZTRV-Decision": "ACCEPT"})
+        """Post ``body`` upstream and relay the answer's status and body.
+
+        The whole exchange, from connecting to the end of the answer, has
+        UPSTREAM_TIMEOUT_S.  An upstream that cannot be reached in time, or
+        whose answer _read_answer cannot read, gets 502 with the decision.
+        """
+        deadline = time.monotonic() + UPSTREAM_TIMEOUT_S
         headers = {"X-ZTRV-Decision": "ACCEPT"}
         try:
-            with urllib.request.urlopen(upstream,
-                                        timeout=UPSTREAM_TIMEOUT_S) as resp:
-                return resp.status, resp.read(), headers
-        except urllib.error.HTTPError as exc:
-            # the upstream answered; relay its status and body as-is
-            return exc.code, exc.read(), headers
-        except (urllib.error.URLError, OSError) as exc:
+            with self._connect(deadline) as conn:
+                conn.settimeout(_remaining(deadline))
+                # the head and the body in one send
+                conn.sendall(self._forward_head + b"%d\r\n\r\n" % len(body)
+                             + body)
+                answer = _read_answer(conn, deadline)
+        except OSError as exc:
             log.warning("upstream unreachable after accept: %s", exc)
-            # the nonce stays consumed: releasing it would reopen the
-            # replay window; retry means issuing a fresh mandate
-            payload = {"decision": decision.to_wire(),
-                       "error": "upstream unreachable"}
-            return 502, json.dumps(payload).encode("utf-8"), headers
+            error = "upstream unreachable"
+        else:
+            if answer is not None:
+                return answer[0], answer[1], headers
+            log.warning("upstream answer unreadable after accept")
+            error = "upstream answer unreadable"
+        # the nonce stays consumed: releasing it would reopen the replay
+        # window; retry means issuing a fresh mandate
+        payload = {"decision": decision.to_wire(), "error": error}
+        return 502, json.dumps(payload).encode("utf-8"), headers
+
+    def _connect(self, deadline: float) -> socket.socket:
+        """A new connection to the upstream, TLS-wrapped for https."""
+        conn = socket.create_connection(self._upstream,
+                                        timeout=_remaining(deadline))
+        if self._tls is None:
+            return conn
+        try:
+            conn.settimeout(_remaining(deadline))
+            return self._tls.wrap_socket(conn,
+                                         server_hostname=self._upstream[0])
+        except BaseException:
+            conn.close()  # wrap_socket closes what it has taken over
+            raise
 
 
 # ---------------------------------------------------------------------------

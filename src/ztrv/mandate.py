@@ -10,10 +10,9 @@ digests, and exact field sets on the wire.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
+import os
 import re
-import secrets
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
@@ -90,7 +89,7 @@ def _frame(values: Iterable[str]) -> bytes:
 def hash_context_fields(context: ExecutionContext, fields: Iterable[str]) -> str:
     """SHA-256 over the framed concatenation of the named context fields."""
     values = [getattr(context, name) for name in fields]
-    return hashlib.sha256(_frame(values)).hexdigest()
+    return ENGINE.sha256(_frame(values)).hex()
 
 
 def compute_context_hash(context: ExecutionContext) -> str:
@@ -197,7 +196,7 @@ class IssuerKey:
 
     @classmethod
     def generate(cls, key_id: str, rng=None) -> "IssuerKey":
-        seed = rng.randbytes(SEED_LEN) if rng is not None else secrets.token_bytes(SEED_LEN)
+        seed = rng.randbytes(SEED_LEN) if rng is not None else os.urandom(SEED_LEN)
         return cls.from_seed(key_id, seed)
 
     @classmethod
@@ -213,7 +212,7 @@ class IssuerKey:
 def _hex_id(rng=None) -> str:
     if rng is not None:
         return "%032x" % rng.getrandbits(128)
-    return secrets.token_hex(16)
+    return os.urandom(16).hex()
 
 
 def issue_mandate(key: IssuerKey, context: ExecutionContext,
@@ -221,7 +220,7 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
     """Mint a fresh, signed mandate bound to ``context`` at time ``now`` (ms).
 
     ``rng`` (a ``random.Random``) makes id/nonce generation reproducible for
-    simulations; production issuance leaves it unset and uses ``secrets``.
+    simulations; production issuance leaves it unset and uses ``os.urandom``.
     """
     problem = context_problem(context)
     if problem is not None:

@@ -1,4 +1,6 @@
+import calendar
 import dataclasses
+import email.utils
 import errno
 import http.client
 import json
@@ -329,25 +331,6 @@ def test_upstream_down_yields_502_and_burns_nonce(keystore, tmp_path,
         assert json.loads(body)["reason"] == "ReplayDetected"
 
 
-def test_upstream_error_status_relayed(keystore, tmp_path, make_request,
-                                       merchant):
-    # mock merchant answers 404 on GET-only paths? it answers every POST 200,
-    # so point the gateway at a path the merchant serves with 404 via GET
-    # semantics instead: use a second gateway as a bogus upstream that 404s
-    config = GatewayConfig(
-        listen_address="127.0.0.1:0",
-        upstream_url=f"{merchant.base_url}/ledger",
-        keystore_path=str(tmp_path / "unused.json"),
-    )
-    with ZtrvGateway(config, keystore=keystore) as gw:
-        request = make_request(now=gw.clock.now_ms())
-        status, _, headers = _post_request(gw.base_url, request)
-        # merchant's POST handler accepts any path, so this still lands 200;
-        # the assertion is that relaying preserved the upstream status
-        assert status == 200
-        assert headers.get("X-ZTRV-Decision") == "ACCEPT"
-
-
 def test_ledger_http_endpoint(gateway, merchant, make_request):
     request = make_request(now=gateway.clock.now_ms())
     _post_request(gateway.base_url, request)
@@ -386,6 +369,175 @@ def test_keystore_loaded_from_file(merchant, tmp_path, issuer, make_request):
     with ZtrvGateway(config) as gw:  # no injected keystore: reads the file
         request = make_request(now=gw.clock.now_ms())
         assert _post_request(gw.base_url, request)[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# upstream forward: one HTTP/1.0 exchange under one deadline
+# ---------------------------------------------------------------------------
+
+class _FakeUpstream:
+    """A raw-socket upstream that records each request it reads and answers
+    it with ``answer``, sent as is, then closes the connection.
+
+    With ``interval`` set, the answer is sent a byte at a time, ``interval``
+    seconds apart.
+    """
+
+    def __init__(self, answer: bytes, interval: float = 0.0):
+        self._answer = answer
+        self._interval = interval
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/pay?x=1"
+        self.requests: list[bytes] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            with conn:
+                conn.settimeout(10)
+                try:
+                    self.requests.append(self._read_request(conn))
+                    if self._interval:
+                        for byte in self._answer:
+                            time.sleep(self._interval)
+                            conn.sendall(bytes([byte]))
+                    else:
+                        conn.sendall(self._answer)
+                except OSError:
+                    pass  # the gateway gave up on the answer
+
+    @staticmethod
+    def _read_request(conn) -> bytes:
+        received = b""
+        while True:
+            head, end, body = received.partition(b"\r\n\r\n")
+            if end:
+                length = int(head.lower().partition(b"content-length: ")[2]
+                             .partition(b"\r\n")[0])
+                if len(body) >= length:
+                    return received
+            chunk = conn.recv(65536)
+            if not chunk:
+                raise ConnectionError("closed before the end of the request")
+            received += chunk
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+        self._thread.join(10)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def fake_upstream():
+    upstreams = []
+
+    def _make(answer: bytes, interval: float = 0.0) -> _FakeUpstream:
+        upstreams.append(_FakeUpstream(answer, interval))
+        return upstreams[-1]
+
+    yield _make
+    for upstream in upstreams:
+        upstream.close()
+
+
+def _gateway_to(upstream_url: str, keystore) -> ZtrvGateway:
+    return ZtrvGateway(GatewayConfig(listen_address="127.0.0.1:0",
+                                     upstream_url=upstream_url,
+                                     keystore_path="unused.json"),
+                       keystore=keystore)
+
+
+def _assert_502_and_nonce_burnt(gw, request):
+    status, body, headers = _post_request(gw.base_url, request)
+    assert status == 502
+    assert headers.get("X-ZTRV-Decision") == "ACCEPT"
+    decision = json.loads(body)["decision"]
+    assert decision["outcome"] == "ACCEPT"
+    assert decision["mandate_id"] == request.mandate.mandate_id
+    status, body, _ = _post_request(gw.base_url, request)
+    assert status == 403
+    assert json.loads(body)["reason"] == "ReplayDetected"
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 409 Conflict\r\nContent-Length: 21\r\n\r\n"
+    b'{"error":"duplicate"}',
+    # no Content-Length: the body ends where the connection does
+    b'HTTP/1.0 409 Conflict\r\n\r\n{"error":"duplicate"}',
+], ids=["content-length", "until-close"])
+def test_upstream_error_status_relayed(keystore, make_request, fake_upstream,
+                                       answer):
+    upstream = fake_upstream(answer)
+    with _gateway_to(upstream.url, keystore) as gw:
+        request = make_request(now=gw.clock.now_ms())
+        body = json.dumps(request_to_wire(request)).encode()
+        status, relayed, headers = _post(f"{gw.base_url}/execute", body)
+    assert status == 409
+    assert relayed == b'{"error":"duplicate"}'
+    assert headers.get("X-ZTRV-Decision") == "ACCEPT"
+    # the forward: an HTTP/1.0 POST to the URL's path and query, and the
+    # agent's body as is
+    head, _, forwarded = upstream.requests[0].partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0] == b"POST /pay?x=1 HTTP/1.0"
+    assert b"X-ZTRV-Decision: ACCEPT" in lines
+    assert forwarded == body
+
+
+@pytest.mark.parametrize("answer", [
+    b"garbage\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",
+    b"",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+    b"HTTP/1.1 100 Continue\r\n\r\n",
+], ids=["garbage-status-line", "short-body", "closed", "chunked", "interim"])
+def test_unreadable_upstream_answer_yields_502_and_burns_nonce(
+        keystore, make_request, fake_upstream, answer):
+    with _gateway_to(fake_upstream(answer).url, keystore) as gw:
+        _assert_502_and_nonce_burnt(gw, make_request(now=gw.clock.now_ms()))
+
+
+def test_upstream_deadline_covers_the_whole_answer(keystore, make_request,
+                                                   fake_upstream, monkeypatch):
+    # a byte every fifth of the deadline: no single read ever times out
+    monkeypatch.setattr(gateway_module, "UPSTREAM_TIMEOUT_S", SHORT_TIMEOUT_S)
+    answer = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b"x" * 100
+    upstream = fake_upstream(answer, interval=SHORT_TIMEOUT_S / 5)
+    with _gateway_to(upstream.url, keystore) as gw:
+        request = make_request(now=gw.clock.now_ms())
+        started = time.monotonic()
+        status, _, _ = _post_request(gw.base_url, request)
+        assert status == 502
+        assert time.monotonic() - started < 4 * SHORT_TIMEOUT_S
+
+
+def test_https_upstream_is_never_sent_in_clear(keystore, make_request,
+                                               merchant, monkeypatch):
+    # the plaintext merchant cannot complete a TLS handshake
+    monkeypatch.setattr(gateway_module, "UPSTREAM_TIMEOUT_S", SHORT_TIMEOUT_S)
+    url = f"https://{merchant.host}:{merchant.port}/fulfill"
+    with _gateway_to(url, keystore) as gw:
+        _assert_502_and_nonce_burnt(gw, make_request(now=gw.clock.now_ms()))
+    assert len(merchant.ledger) == 0
+
+
+@pytest.mark.parametrize("instant", [
+    0,
+    calendar.timegm((2000, 2, 29, 12, 30, 5)),
+    calendar.timegm((2024, 2, 29, 23, 59, 59)),
+    calendar.timegm((2025, 12, 31, 23, 59, 59)),
+    calendar.timegm((2026, 1, 1, 0, 0, 0)),
+    calendar.timegm((2099, 7, 4, 9, 8, 7)),
+])
+def test_date_is_imf_fixdate(instant):
+    assert gateway_module._http_date(instant) == \
+        email.utils.formatdate(instant, usegmt=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -25,6 +26,7 @@ from ztrv import (
     request_to_wire,
     verify_signature,
 )
+from ztrv._ed25519 import ENGINE, _CryptographyEngine
 from ztrv.mandate import context_problem, mandate_problem, request_problem
 
 from conftest import T0
@@ -248,7 +250,6 @@ def test_signature_flipped_bit_in_encoding_fails(issuer, context):
 
 def test_engines_interoperate(issuer, context):
     # both backends implement the same RFC 8032 scheme end to end
-    from ztrv._ed25519 import _CryptographyEngine, ENGINE
     crypto_engine = _CryptographyEngine()
     assert crypto_engine.public_key(issuer.seed) == issuer.public_key
     mandate = issue_mandate(issuer, context, PaymentPayload(42, "USD"),
@@ -258,6 +259,14 @@ def test_engines_interoperate(issuer, context):
     assert crypto_engine.verify(issuer.public_key, mandate.signature, message)
     sig2 = crypto_engine.sign(issuer.seed, message)
     assert ENGINE.verify(issuer.public_key, sig2, message)
+
+
+@pytest.mark.parametrize("engine", [ENGINE, _CryptographyEngine()],
+                         ids=lambda engine: engine.name)
+@given(data=st.binary(max_size=1024))
+def test_engine_sha256_is_sha256(engine, data):
+    # the context hash is whichever engine's SHA-256 is loaded
+    assert engine.sha256(data) == hashlib.sha256(data).digest()
 
 
 # ---------------------------------------------------------------------------
