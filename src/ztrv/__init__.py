@@ -14,7 +14,6 @@ from .mandate import (
     VerificationRequest,
     WireFormatError,
     canonical_encode,
-    compute_context_hash,
     hash_context_fields,
     issue_mandate,
     mandate_from_wire,
@@ -78,7 +77,6 @@ __all__ = [
     "attack_eval",
     "canonical_encode",
     "capacity_probe",
-    "compute_context_hash",
     "gen_legit_workload",
     "hash_context_fields",
     "inject_attack",

@@ -17,19 +17,10 @@ from pathlib import Path
 
 from .gateway import ConfigError, ZtrvGateway, load_config
 from .mandate import IssuerKey, Keystore
-from .simharness import (
-    DEFAULT_CONCURRENCY,
-    AttackKind,
-    ablation_run,
-    attack_eval,
-    capacity_probe,
-    interception_matrix,
-    report_basename,
-    throughput_bench,
-    ttl_sweep,
-    write_report_files,
-)
-from .verifier import Mode
+from .verifier import DEFAULT_CONCURRENCY, Mode
+
+# The experiment subcommands import ztrv.simharness when they run, so that
+# `ztrv serve` does not load the harness.
 
 ENV_CONFIG = "ZTRV_CONFIG"
 
@@ -146,7 +137,6 @@ def cmd_serve(args) -> int:
     config = load_config(config_path)
     gateway = ZtrvGateway(config)
     print(f"ztrv gateway listening on {gateway.host}:{gateway.port}, "
-          f"mode={config.verifier.mode.value}, "
           f"window={config.verifier.window:g}s, "
           f"upstream={config.upstream_url}", flush=True)
     try:
@@ -158,9 +148,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_attack_eval(args) -> int:
+    from .simharness import attack_eval, report_basename, write_report_files
     _check_replays(args)
     out_dir = _ensure_out_dir(args.out)
-    mode = Mode.parse(args.mode)
+    mode = Mode(args.mode)
     reports = attack_eval(mode, n=args.n, seed=args.seed,
                           replay_count=args.replays,
                           concurrency=args.concurrency)
@@ -184,6 +175,8 @@ def cmd_attack_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    from .simharness import (AttackKind, ablation_run, interception_matrix,
+                             report_basename, write_report_files)
     _check_replays(args)
     out_dir = _ensure_out_dir(args.out)
     reports = ablation_run(n=args.n, seed=args.seed,
@@ -207,6 +200,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_ttl_sweep(args) -> int:
+    from .simharness import report_basename, ttl_sweep, write_report_files
     # the workload holds round(rate x duration) requests, as simharness counts
     if round(args.rate * args.duration) < 1:
         raise UsageError("--rate x --duration must round to at least one "
@@ -235,6 +229,8 @@ def cmd_ttl_sweep(args) -> int:
 
 
 def cmd_throughput(args) -> int:
+    from .simharness import (capacity_probe, report_basename,
+                             throughput_bench, write_report_files)
     out_dir = _ensure_out_dir(args.out)
     points = [capacity_probe(concurrency=args.concurrency, seed=args.seed)]
     points += throughput_bench(args.rates, duration=args.duration,

@@ -36,7 +36,7 @@ from http import HTTPStatus
 
 from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
-from .verifier import Decision, Mode, Outcome, Reason, VerifierConfig, verify
+from .verifier import Decision, Outcome, Reason, VerifierConfig, verify
 
 log = logging.getLogger("ztrv.gateway")
 
@@ -116,7 +116,7 @@ def parse_upstream_url(url: str) -> tuple[bool, str, int, bytes]:
 
 _CONFIG_KEYS = frozenset({
     "listen_address", "upstream_url", "keystore_path", "request_body_limit",
-    "mode", "window", "skew_tolerance", "context_fields",
+    "window", "skew_tolerance",
 })
 
 
@@ -127,8 +127,8 @@ def _config_str(obj: dict, key: str) -> str:
     return value
 
 
-def _config_number(obj: dict, key: str, default: float) -> float:
-    value = obj.get(key, default)
+def _config_number(obj: dict, key: str) -> float:
+    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
     try:
@@ -164,30 +164,11 @@ def load_config(path) -> GatewayConfig:
     if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
         raise ConfigError("request_body_limit must be a positive integer")
 
-    mode_name = obj.get("mode", Mode.FULL.value)
-    if not isinstance(mode_name, str):
-        raise ConfigError("mode must be a string")
+    # a key left out keeps VerifierConfig's default; the mode is always FULL
     try:
-        mode = Mode.parse(mode_name)
-    except ValueError as exc:
-        raise ConfigError(f"mode: {exc}") from exc
-
-    fields = obj.get("context_fields")
-    if fields is not None:
-        if (not isinstance(fields, list)
-                or any(not isinstance(f, str) for f in fields)):
-            raise ConfigError("context_fields must be a list of strings")
-        fields = tuple(fields)
-
-    try:
-        kwargs = {
-            "mode": mode,
-            "window": _config_number(obj, "window", 60.0),
-            "skew_tolerance": _config_number(obj, "skew_tolerance", 0.0),
-        }
-        if fields is not None:
-            kwargs["context_fields"] = fields
-        verifier_config = VerifierConfig(**kwargs)
+        verifier_config = VerifierConfig(**{
+            key: _config_number(obj, key)
+            for key in ("window", "skew_tolerance") if key in obj})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -86,14 +86,11 @@ def _frame(values: Iterable[str]) -> bytes:
     return bytes(out)
 
 
-def hash_context_fields(context: ExecutionContext, fields: Iterable[str]) -> str:
-    """SHA-256 over the framed concatenation of the named context fields."""
-    values = [getattr(context, name) for name in fields]
-    return ENGINE.sha256(_frame(values)).hex()
-
-
-def compute_context_hash(context: ExecutionContext) -> str:
-    return hash_context_fields(context, DEFAULT_CONTEXT_FIELDS)
+def hash_context_fields(context: ExecutionContext) -> str:
+    """SHA-256 over the framed concatenation of the four context fields, in
+    the order of DEFAULT_CONTEXT_FIELDS."""
+    return ENGINE.sha256(_frame((context.task_id, context.agent_id,
+                                 context.merchant_id, context.scope))).hex()
 
 
 def canonical_encode(mandate_id: str, nonce: str, issued_at: int,
@@ -227,7 +224,7 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
         raise ValueError(problem)
     mandate_id = _hex_id(rng)
     nonce = _hex_id(rng)
-    context_hash = compute_context_hash(context)
+    context_hash = hash_context_fields(context)
     signature = key.sign(canonical_encode(mandate_id, nonce, now,
                                           context_hash, payload))
     return Mandate(mandate_id=mandate_id, nonce=nonce, issued_at=now,

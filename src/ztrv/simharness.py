@@ -33,7 +33,8 @@ from .mandate import (
     issue_mandate,
 )
 from .registry import PER_ENTRY_BYTES, NonceRegistry, RegistryStats
-from .verifier import Mode, StageTimings, VerifierConfig, verify
+from .verifier import (DEFAULT_CONCURRENCY, Mode, StageTimings, VerifierConfig,
+                       verify)
 
 MERCHANT_POOL = tuple(f"merchant-{i:02d}" for i in range(8))
 SCOPE_POOL = ("/checkout/confirm", "/orders/place", "/subscriptions/renew",
@@ -42,7 +43,6 @@ SCOPE_POOL = ("/checkout/confirm", "/orders/place", "/subscriptions/renew",
 ROGUE_SCOPE_POOL = ("/payouts/transfer", "/refunds/issue", "/admin/export")
 CURRENCY_POOL = ("USD", "EUR", "GBP")
 
-DEFAULT_CONCURRENCY = 16
 # agents drawn for each workload's contexts
 N_AGENTS = 25
 # seconds of workload time an attack evaluation spreads its requests over
@@ -62,13 +62,6 @@ class AttackKind(Enum):
     SAME_CONTEXT_REPLAY = "same-context-replay"
     CROSS_CONTEXT_REPLAY = "cross-context-replay"
     CONTEXT_REDIRECT = "context-redirect"
-
-    @classmethod
-    def parse(cls, name: str) -> "AttackKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown attack kind {name!r}")
 
 
 @dataclass(frozen=True)
@@ -128,25 +121,25 @@ def sim_issuer(seed: int) -> IssuerKey:
     return IssuerKey.generate(f"sim-issuer-{seed & 0xFFFF:04x}", rng=rng)
 
 
-def gen_legit_workload(rate: float, duration: float, n_agents: int, seed: int,
-                       *, issuer: IssuerKey,
-                       start_ms: int = VIRTUAL_EPOCH_MS) -> list[TimedRequest]:
+def gen_legit_workload(rate: float, duration: float, seed: int, *,
+                       issuer: IssuerKey) -> list[TimedRequest]:
     """Emit rate*duration well-formed requests, reproducible from seed.
 
     Each request carries a freshly issued mandate correctly bound to its own
-    context: unique task_id, agent and merchant drawn from seeded pools, and
-    issue timestamps spread uniformly over the duration.
+    context: unique task_id, agent (of N_AGENTS) and merchant drawn from
+    seeded pools, and issue timestamps spread uniformly over the duration
+    from VIRTUAL_EPOCH_MS.
     """
-    if rate <= 0 or duration <= 0 or n_agents <= 0:
-        raise ValueError("rate, duration, and n_agents must be positive")
+    if rate <= 0 or duration <= 0:
+        raise ValueError("rate and duration must be positive")
     rng = random.Random(seed)
     n = int(round(rate * duration))
     items = []
     for i in range(n):
-        at_ms = start_ms + int(i * 1000 / rate)
+        at_ms = VIRTUAL_EPOCH_MS + int(i * 1000 / rate)
         context = ExecutionContext(
             task_id=f"task-{seed & 0xFFFF:04x}-{i:07d}",
-            agent_id=f"agent-{rng.randrange(n_agents):04d}",
+            agent_id=f"agent-{rng.randrange(N_AGENTS):04d}",
             merchant_id=rng.choice(MERCHANT_POOL),
             scope=rng.choice(SCOPE_POOL),
         )
@@ -248,8 +241,7 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     """
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
-    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
-                                  issuer=issuer)
+    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
     if scenario is None:
         legit, attacks = workload, []
     else:
@@ -369,11 +361,10 @@ def ttl_sweep(windows: list[float], rate: float = 10_000.0,
     """
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
-    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
-                                  issuer=issuer)
+    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
     points = []
     for window in windows:
-        config = VerifierConfig(mode=Mode.FULL, window=window)
+        config = VerifierConfig(window=window)
         registry = NonceRegistry()
         next_sweep = workload[0].at_ms + SWEEP_CADENCE_MS
         for item in workload:
@@ -430,7 +421,7 @@ def _drain_bench(keystore, concurrency,
     inter-batch dispatch interval (None = unpaced burst).  Elapsed time runs
     from first dispatch to last completed verification.
     """
-    config = VerifierConfig(mode=Mode.FULL)
+    config = VerifierConfig()
     registry = NonceRegistry()
 
     def run_batch(batch):
@@ -464,8 +455,7 @@ def _bench_point(offered_rate: float, rate: float, duration: float,
     ``rate``, that is the instant its batch is offered.
     """
     issuer = sim_issuer(seed)
-    workload = gen_legit_workload(rate, duration, N_AGENTS, seed,
-                                  issuer=issuer)
+    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
     batches = [workload[i:i + batch_size]
                for i in range(0, len(workload), batch_size)]
     timings, accepted, elapsed_s = _drain_bench(

@@ -10,8 +10,8 @@ Stages run in a fixed order and short-circuit on the first failure:
 
 Only a request that passes every enabled stage is authorized; every other
 path is an explicit rejection, and unexpected states reject rather than
-accept.  Modes exist solely to ablate stages 4 and 5 in experiments;
-production runs Mode.FULL.
+accept.  Modes exist solely to ablate stages 4 and 5 in experiments, which
+build their configs in Python; the gateway always runs Mode.FULL.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .mandate import (
-    DEFAULT_CONTEXT_FIELDS,
     Keystore,
     VerificationRequest,
     hash_context_fields,
@@ -30,6 +29,10 @@ from .mandate import (
     verify_signature,
 )
 from .registry import NonceRegistry
+
+# threads the experiments verify on at once unless told otherwise; here, not
+# in the harness, so that the command line can show it without loading that
+DEFAULT_CONCURRENCY = 16
 
 
 class Mode(Enum):
@@ -45,14 +48,6 @@ class Mode(Enum):
     @property
     def checks_nonce(self) -> bool:
         return self in (Mode.NONCE_ONLY, Mode.FULL)
-
-    @classmethod
-    def parse(cls, name: str) -> "Mode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise ValueError(f"unknown mode {name!r}; expected one of "
-                         + ", ".join(m.value for m in cls))
 
 
 class Outcome(Enum):
@@ -87,18 +82,22 @@ class StageTimings:
 class Decision:
     """What the pipeline decided, and how long each stage took to decide it.
 
-    ``timings`` is a measurement, not part of the decision: decisions compare
-    equal without it, and it is left out of the wire form.
+    The outcome follows from the reason: ACCEPT iff Authorized.  ``timings``
+    is a measurement, not part of the decision: decisions compare equal
+    without it, and it is left out of the wire form.
     """
 
-    outcome: Outcome
     reason: Reason
     mandate_id: str
     timings: StageTimings = field(compare=False)
 
     @property
     def accepted(self) -> bool:
-        return self.outcome is Outcome.ACCEPT
+        return self.reason is Reason.AUTHORIZED
+
+    @property
+    def outcome(self) -> Outcome:
+        return Outcome.ACCEPT if self.accepted else Outcome.REJECT
 
     def to_wire(self) -> dict:
         return {
@@ -110,8 +109,9 @@ class Decision:
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Tunable verification policy.
+    """Verification policy.
 
+    ``mode`` picks the stages that run (experiments only; see Mode).
     ``window`` (seconds) is the freshness horizon.  ``skew_tolerance``
     (seconds) widens acceptance on both sides to absorb clock skew between
     issuer and verifier; it defaults to zero (no skew allowance).  A consumed
@@ -122,7 +122,6 @@ class VerifierConfig:
     mode: Mode = Mode.FULL
     window: float = 60.0
     skew_tolerance: float = 0.0
-    context_fields: tuple[str, ...] = DEFAULT_CONTEXT_FIELDS
 
     def __post_init__(self):
         # NaN passes the sign checks below, and a value whose milliseconds
@@ -134,11 +133,6 @@ class VerifierConfig:
             raise ValueError("window must be positive")
         if self.skew_tolerance < 0:
             raise ValueError("skew_tolerance must be non-negative")
-        if self.mode.checks_context and not self.context_fields:
-            raise ValueError("context_fields must not be empty when context is enforced")
-        unknown = [f for f in self.context_fields if f not in DEFAULT_CONTEXT_FIELDS]
-        if unknown:
-            raise ValueError(f"unknown context fields {unknown}")
 
     @property
     def window_ms(self) -> int:
@@ -169,8 +163,7 @@ def verify(request: VerificationRequest | None, now: int,
     registry_ns = 0
 
     def done(reason: Reason, mandate_id: str) -> Decision:
-        outcome = Outcome.ACCEPT if reason is Reason.AUTHORIZED else Outcome.REJECT
-        return Decision(outcome=outcome, reason=reason, mandate_id=mandate_id,
+        return Decision(reason=reason, mandate_id=mandate_id,
                         timings=StageTimings(
                             signature_ns=signature_ns,
                             context_ns=context_ns,
@@ -194,30 +187,36 @@ def verify(request: VerificationRequest | None, now: int,
     if not signature_ok:
         return done(Reason.INVALID_SIGNATURE, mandate.mandate_id)
 
-    # stage 3: freshness. Expired iff now - issued_at > window + skew;
-    # equality is still fresh. Future-dating beyond skew is also rejected.
-    age_ms = now - mandate.issued_at
-    if age_ms > config.window_ms + config.skew_ms or -age_ms > config.skew_ms:
+    # stage 3: freshness. Expired iff now > issued_at + window + skew, the
+    # mandate's last fresh instant; equality is still fresh. Future-dating
+    # beyond skew is also rejected.
+    skew_ms = config.skew_ms
+    last_fresh = mandate.issued_at + config.window_ms + skew_ms
+    if now > last_fresh or mandate.issued_at - now > skew_ms:
         return done(Reason.MANDATE_EXPIRED, mandate.mandate_id)
 
     # stage 4: context binding. The hash is recomputed from the observed
     # context; the mandate's stored hash must match exactly.
     if config.mode.checks_context:
         t0 = time.perf_counter_ns()
-        observed = hash_context_fields(request.context, config.context_fields)
+        observed = hash_context_fields(request.context)
         context_ns = time.perf_counter_ns() - t0
         if observed != mandate.context_hash:
             return done(Reason.CONTEXT_MISMATCH, mandate.mandate_id)
 
     # stage 5: nonce consumption, the last stage so that a consumed nonce
     # always corresponds to an accepted request. The entry outlives the last
-    # instant at which the mandate could pass stage 3.
+    # instant at which the mandate could pass stage 3. A claim the registry
+    # can only take after that instant (another claim has already moved its
+    # time past it, and may have swept this nonce) is stale, not a replay.
     if config.mode.checks_nonce:
         t0 = time.perf_counter_ns()
-        fresh = registry.consume_once("nonce:" + mandate.nonce, now,
-                                      config.nonce_ttl_ms)
+        claimed = registry.consume_once("nonce:" + mandate.nonce, now,
+                                        config.nonce_ttl_ms, last_fresh)
         registry_ns = time.perf_counter_ns() - t0
-        if not fresh:
+        if claimed is None:
+            return done(Reason.MANDATE_EXPIRED, mandate.mandate_id)
+        if not claimed:
             return done(Reason.REPLAY_DETECTED, mandate.mandate_id)
 
     return done(Reason.AUTHORIZED, mandate.mandate_id)

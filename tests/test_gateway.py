@@ -5,12 +5,14 @@ import errno
 import http.client
 import json
 import logging
+import re
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from ztrv import (
     Mode,
     MockMerchant,
     VerificationRequest,
+    VerifierConfig,
     ZtrvGateway,
     load_config,
     request_to_wire,
@@ -109,32 +112,50 @@ def test_load_config_minimal_fills_defaults(tmp_path):
     assert config.request_body_limit == 64 * 1024
 
 
-def test_load_config_mode_and_window(tmp_path):
-    config = load_config(_write_config(tmp_path, mode="nonce-only", window=5,
+def test_load_config_window_and_skew(tmp_path):
+    config = load_config(_write_config(tmp_path, window=5,
                                        skew_tolerance=2.5))
-    assert config.verifier.mode is Mode.NONCE_ONLY
-    assert config.verifier.window == 5.0
-    assert config.verifier.skew_tolerance == 2.5
+    assert config.verifier == VerifierConfig(window=5.0, skew_tolerance=2.5)
+    assert config.verifier.mode is Mode.FULL
+    # either one alone keeps the other's default
+    assert (load_config(_write_config(tmp_path, skew_tolerance=1)).verifier
+            == VerifierConfig(skew_tolerance=1.0))
+    assert (load_config(_write_config(tmp_path, window=7)).verifier
+            == VerifierConfig(window=7.0))
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="surprise"):
         load_config(_write_config(tmp_path, surprise=1))
+    # the gateway always binds the whole context and consumes every nonce
+    for key, value in (("mode", "full"), ("mode", "baseline"),
+                       ("context_fields", ["merchant_id", "scope"])):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            load_config(_write_config(tmp_path, **{key: value}))
+
+
+def test_readme_config_table_lists_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("\n")
+    start = next(i for i, line in enumerate(lines)
+                 if re.fullmatch(r"\| key +\| meaning +\| default +\|", line))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([a-z_]+)` ", line).group(1))
+    assert sorted(rows) == sorted(gateway_module._CONFIG_KEYS)
 
 
 def test_load_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError, match="window"):
         load_config(_write_config(tmp_path, window=0))
-    with pytest.raises(ConfigError, match="mode"):
-        load_config(_write_config(tmp_path, mode="turbo"))
     with pytest.raises(ConfigError, match="upstream_url"):
         load_config(_write_config(tmp_path, upstream_url="ftp://nope"))
     with pytest.raises(ConfigError, match="listen_address"):
         load_config(_write_config(tmp_path, listen_address="nocolon"))
     with pytest.raises(ConfigError, match="request_body_limit"):
         load_config(_write_config(tmp_path, request_body_limit=True))
-    with pytest.raises(ConfigError, match="context_fields"):
-        load_config(_write_config(tmp_path, context_fields="merchant_id"))
     # json reads NaN and Infinity, and 1e400 as inf; each must fail here,
     # not in stage 3 of every request the gateway would go on to serve.
     # The number goes in as raw JSON text: json.dumps cannot write 1e400.

@@ -39,8 +39,11 @@ def test_import_ztrv_loads_only_what_serving_needs():
                       SERVING_NEVER_LOADS + ("ztrv.simharness",)) == []
 
 
-def test_import_cli_loads_no_openssl_or_urllib():
-    assert _loaded_by("import ztrv.cli", SERVING_NEVER_LOADS) == []
+def test_import_cli_loads_only_what_serving_needs():
+    # `ztrv serve` runs through the CLI; the experiment subcommands import
+    # the harness when they run
+    assert _loaded_by("import ztrv.cli",
+                      SERVING_NEVER_LOADS + ("ztrv.simharness",)) == []
 
 
 def test_every_exported_name_resolves():

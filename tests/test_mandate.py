@@ -17,7 +17,6 @@ from ztrv import (
     VerificationRequest,
     WireFormatError,
     canonical_encode,
-    compute_context_hash,
     hash_context_fields,
     issue_mandate,
     mandate_from_wire,
@@ -52,23 +51,23 @@ CANONICAL_ENCODING_HEX = (
 # ---------------------------------------------------------------------------
 
 def test_context_hash_external_oracle(context):
-    assert compute_context_hash(context) == CTX_HASH_T1A1M1S1
+    assert hash_context_fields(context) == CTX_HASH_T1A1M1S1
 
 
 def test_context_hash_deterministic(context):
-    assert compute_context_hash(context) == compute_context_hash(context)
+    assert hash_context_fields(context) == hash_context_fields(context)
 
 
 def test_context_hash_sensitive_to_merchant(context):
     other = dataclasses.replace(context, merchant_id="m2")
-    assert compute_context_hash(other) != compute_context_hash(context)
+    assert hash_context_fields(other) != hash_context_fields(context)
 
 
 def test_context_hash_sensitive_to_every_field(context):
-    base = compute_context_hash(context)
+    base = hash_context_fields(context)
     for field in ("task_id", "agent_id", "merchant_id", "scope"):
         bumped = dataclasses.replace(context, **{field: "other"})
-        assert compute_context_hash(bumped) != base
+        assert hash_context_fields(bumped) != base
 
 
 def test_context_hash_field_boundary_not_ambiguous():
@@ -76,17 +75,7 @@ def test_context_hash_field_boundary_not_ambiguous():
     # change the digest
     a = ExecutionContext(task_id="ab", agent_id="c", merchant_id="m", scope="s")
     b = ExecutionContext(task_id="a", agent_id="bc", merchant_id="m", scope="s")
-    assert compute_context_hash(a) != compute_context_hash(b)
-
-
-def test_hash_context_fields_subset_and_order(context):
-    full = hash_context_fields(context, ("task_id", "agent_id", "merchant_id",
-                                         "scope"))
-    assert full == compute_context_hash(context)
-    subset = hash_context_fields(context, ("merchant_id", "scope"))
-    assert subset != full
-    reordered = hash_context_fields(context, ("scope", "merchant_id"))
-    assert reordered != subset
+    assert hash_context_fields(a) != hash_context_fields(b)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ def test_issue_then_verify_roundtrip(issuer, context):
     assert verify_signature(mandate, issuer.public_key)
     assert mandate.issued_at == T0
     assert mandate.key_id == issuer.key_id
-    assert mandate.context_hash == compute_context_hash(context)
+    assert mandate.context_hash == hash_context_fields(context)
 
 
 def test_issue_reproducible_under_fixed_seed(issuer, context):
@@ -187,9 +176,9 @@ def test_issue_reproducible_under_fixed_seed(issuer, context):
 def test_issue_binds_context(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(5, "USD"),
                             now=T0, rng=random.Random(2))
-    assert mandate.context_hash == compute_context_hash(context)
+    assert mandate.context_hash == hash_context_fields(context)
     other = dataclasses.replace(context, task_id="t2")
-    assert mandate.context_hash != compute_context_hash(other)
+    assert mandate.context_hash != hash_context_fields(other)
 
 
 def test_issue_rejects_invalid_context(issuer):

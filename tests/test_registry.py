@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,13 +13,22 @@ from ztrv.registry import PER_ENTRY_BYTES, SWEEP_INTERVAL_MS
 
 class ReferenceRegistry:
     """Brute-force oracle: a plain dict with the same stated semantics,
-    including a full sweep once SWEEP_INTERVAL_MS has passed since the last."""
+    including a full sweep once SWEEP_INTERVAL_MS has passed since the last,
+    and every claim and sweep taken at the latest instant seen so far."""
 
     def __init__(self):
         self.entries = {}
         self.last_sweep = None
+        self.high_water = None
 
-    def consume_once(self, key, now, ttl):
+    def advance(self, now):
+        if self.high_water is not None:
+            now = max(now, self.high_water)
+        self.high_water = now
+        return now
+
+    def consume_once(self, key, now, ttl, last_fresh=None):
+        now = self.advance(now)
         if self.last_sweep is None:
             self.last_sweep = now
         elif now - self.last_sweep >= SWEEP_INTERVAL_MS:
@@ -26,10 +36,13 @@ class ReferenceRegistry:
         current = self.entries.get(key)
         if current is not None and current > now:
             return False
+        if last_fresh is not None and now > last_fresh:
+            return None
         self.entries[key] = now + ttl
         return True
 
     def sweep(self, now):
+        now = self.advance(now)
         dead = [k for k, exp in self.entries.items() if exp <= now]
         for k in dead:
             del self.entries[k]
@@ -75,6 +88,73 @@ def test_ttl_must_be_positive():
         reg.consume_once("k", now=0, ttl_ms=0)
     with pytest.raises(ValueError):
         reg.consume_once("k", now=0, ttl_ms=-5)
+
+
+# ---------------------------------------------------------------------------
+# high-water time and last fresh instant
+# ---------------------------------------------------------------------------
+
+def test_claim_dated_before_a_later_claim_is_taken_at_that_claim():
+    # "b" at 2,000 sweeps "a"; a claim of "a" dated 1,050, when the swept
+    # entry was still live, is taken at 2,000 and lives until 2,100
+    reg = NonceRegistry()
+    assert reg.consume_once("a", 1_000, 100)
+    assert reg.consume_once("b", 2_000, 100)
+    assert "a" not in reg._expiry
+    assert reg.consume_once("a", 1_050, 100) is True
+    assert reg._expiry["a"] == 2_100
+    assert reg.consume_once("a", 2_099, 100) is False
+
+
+def test_claim_past_last_fresh_is_refused_and_claims_nothing():
+    reg = NonceRegistry()
+    assert reg.consume_once("a", 1_000, 100, 1_000)
+    assert reg.consume_once("b", 2_000, 100, 2_000)
+    assert reg.consume_once("a", 1_050, 100, 1_100) is None
+    assert set(reg._expiry) == {"b"}
+    # fresh at the high-water time: claimed there
+    assert reg.consume_once("a", 1_050, 100, 2_000) is True
+    assert reg._expiry["a"] == 2_100
+
+
+def test_live_claim_is_a_replay_whatever_last_fresh_says():
+    reg = NonceRegistry()
+    assert reg.consume_once("k", 0, 1_000, 0)
+    assert reg.consume_once("k", 500, 1_000, 0) is False
+
+
+def test_sweep_raises_the_high_water_time():
+    reg = NonceRegistry()
+    assert reg.consume_once("k", 0, 1_000)
+    assert reg.sweep(5_000) == 1
+    assert reg.consume_once("k", 100, 1_000, 4_000) is None
+    assert reg.consume_once("k", 100, 1_000, 5_000) is True
+    assert reg._expiry["k"] == 6_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2_000),
+       st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 15),
+                          st.one_of(st.none(), st.integers(-500, 500)),
+                          st.booleans()),
+                max_size=150))
+def test_one_ttl_matches_reference_for_any_time_order(ttl, ops):
+    # times that go back as well as forward, claims with and without a last
+    # fresh instant, explicit sweeps among them: claims are taken in time
+    # order all the same, so with one TTL even eviction is exact
+    reg = NonceRegistry()
+    ref = ReferenceRegistry()
+    now = 10_000
+    for step, (dt, k, fresh_for, sweep) in enumerate(ops):
+        now += dt
+        if sweep:
+            assert reg.sweep(now) == ref.sweep(now), f"step {step}"
+        else:
+            last_fresh = None if fresh_for is None else now + fresh_for
+            assert (reg.consume_once(f"k{k}", now, ttl, last_fresh)
+                    == ref.consume_once(f"k{k}", now, ttl, last_fresh)), \
+                f"step {step}"
+        assert reg._expiry == ref.entries, f"step {step}"
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +339,33 @@ def test_exactly_once_under_concurrency(n_threads, trials):
             jitters = [rng.choice([0, 0, 1, 5, 20]) for _ in range(n_threads)]
             results = list(pool.map(attempt, jitters))
             assert sum(results) == 1, f"trial {trial}: {sum(results)} wins"
+
+
+def test_concurrent_out_of_order_claims_keep_claim_order_expiry_order():
+    # threads claim at instants that go back and forth; each claim is taken
+    # at the high-water time, so with one TTL the stored expiries stay in
+    # claim order, which a lost update of that time would break
+    reg = NonceRegistry()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def claim_many(seed):
+            rng = random.Random(seed)
+            for i in range(2_000):
+                reg.consume_once(f"t{seed}-{i}", rng.randrange(10_000), 1_000,
+                                 20_000)
+
+        threads = [threading.Thread(target=claim_many, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    expiries = list(reg._expiry.values())
+    assert expiries == sorted(expiries)
 
 
 def test_concurrent_mixed_keys_all_single_winner():
