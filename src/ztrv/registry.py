@@ -13,22 +13,55 @@ claim swept the same key is thus taken at the later instant, when the swept
 entry had already expired, and a caller that names its last fresh instant
 has such a claim refused instead of granted a second time.
 
-Entries live in one dict kept in claim order: a claim of a new or expired
-key puts it at the end.  While claims share one TTL, as the verifier's do,
-claim order is expiry order, so a sweep only has to drop the expired prefix.
+Each entry is one 24-byte record: the 16-byte BLAKE2b digest of its key and
+its expiry as an 8-byte big-endian integer.  Records are appended, in claim
+order, to one of 4,096 ``bytearray`` buckets picked by the digest's top 12
+bits; a lookup is a ``find`` of the digest in its bucket that only counts a
+hit starting on a record boundary.  One ``array('q')`` ring holds ``expiry
+<< 12 | bucket`` for each claim, in claim order.  Before it looks a key up,
+every claim pops the ring entries that have expired by its instant and trims
+the expired prefix of each bucket they name.  That is O(expired) work, so it
+runs on every claim.  While claims share one TTL, as the verifier's do,
+claim order is expiry order in the ring and in each bucket, and the stored
+entries are exactly the live ones.
+
+Two keys whose 128-bit digests are equal act as one key.  That can only
+turn a first use into a replay (fail closed), at odds of about 2**-128 per
+pair of keys, and never grants a key a second claim.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
+from array import array
 from dataclasses import dataclass
 
-# Rough per-entry footprint (key string + dict slot) used for the memory
-# estimate reported by stats(); it is an estimate, not an accounting.
-PER_ENTRY_BYTES = 125
+# the blake2b that hashlib re-exports; importing hashlib would load OpenSSL
+from _blake2 import blake2b
 
-# Claims sweep the registry when this many ms have passed since the last sweep.
-SWEEP_INTERVAL_MS = 250
+# Bytes tracemalloc sees per live entry in a registry churning at 100,000
+# live entries under one TTL: the record, its ring entry, and the slack of
+# the buckets and the ring (tests/test_registry.py checks it).
+PER_ENTRY_BYTES = 41
+
+_DIGEST_BYTES = 16
+_RECORD = struct.Struct(">16sq")  # key digest, expiry
+_RECORD_BYTES = _RECORD.size
+# _expiry_at(bucket, at + _DIGEST_BYTES)[0]: the expiry of the record at `at`
+_expiry_at = struct.Struct(">q").unpack_from
+_BUCKET_BITS = 12
+_BUCKET_MASK = (1 << _BUCKET_BITS) - 1
+
+# Instants and TTLs below 2**50 ms (~35,700 years) keep a ring entry,
+# expiry << 12, within 63 bits; a claim past that raises before it stores
+# anything.
+MAX_TTL_MS = 1 << 50
+
+
+def key_digest(key: str) -> bytes:
+    """The 16 bytes the registry stores and looks up for ``key``."""
+    return blake2b(key.encode(), digest_size=_DIGEST_BYTES).digest()
 
 
 @dataclass(frozen=True)
@@ -44,18 +77,24 @@ class NonceRegistry:
 
     Every decision is exact for any mix of TTLs: a lookup compares the
     stored expiry with the claim instant.  Only removal depends on claim
-    order.  A sweep stops at the first live entry, so with mixed TTLs an
-    expired entry claimed after a live one stays (counted in ``len`` and
-    ``stats``, but absent to ``consume_once``) until a sweep reaches it.
-    With one TTL, eviction is exact.
+    order.  Eviction stops at the first live ring entry, and a bucket trim
+    at the first live record, so with mixed TTLs an expired entry claimed
+    after a live one may stay (counted in ``len`` and ``stats``, but absent
+    to ``consume_once``) until an eviction reaches it.  With one TTL,
+    eviction is exact.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._expiry: dict[str, int] = {}  # key -> expiry, in claim order
+        # records in claim order; a bucket is made by its first claim
+        self._buckets: list[bytearray | None] = [None] * (1 << _BUCKET_BITS)
+        # expiry << _BUCKET_BITS | bucket per claim, in claim order, from
+        # _ring_start on; the entries before it have been evicted
+        self._ring = array("q")
+        self._ring_start = 0
+        self._count = 0
         self._peak = 0
         self._evicted = 0
-        self._last_sweep: int | None = None
         self._high_water: int | None = None
 
     def consume_once(self, key: str, now: int, ttl_ms: int,
@@ -70,46 +109,60 @@ class NonceRegistry:
         """
         if ttl_ms <= 0:
             raise ValueError("ttl_ms must be positive")
+        digest = key_digest(key)
+        index = digest[0] << 4 | digest[1] >> 4  # the top 12 bits
         with self._lock:
             now = self._advance_locked(now)
-            if self._last_sweep is None:
-                self._last_sweep = now
-            elif now - self._last_sweep >= SWEEP_INTERVAL_MS:
-                self._sweep_locked(now)
-            entries = self._expiry
-            current = entries.get(key)
-            if current is not None and current > now:
+            self._evict_locked(now)
+            bucket = self._buckets[index]
+            at = -1 if bucket is None else bucket.find(digest)
+            while at > 0 and at % _RECORD_BYTES:  # inside another record
+                at = bucket.find(digest, at + 1)
+            if at >= 0 and _expiry_at(bucket, at + _DIGEST_BYTES)[0] > now:
                 return False
             if last_fresh is not None and now > last_fresh:
                 return None
-            if current is not None:
-                # expired entry: treat as absent and re-insert at the end
-                del entries[key]
+            expiry = now + ttl_ms
+            # an expiry too large to store raises here, before anything is stored
+            record = _RECORD.pack(digest, expiry)
+            self._ring.append(expiry << _BUCKET_BITS | index)
+            if bucket is None:
+                bucket = self._buckets[index] = bytearray()
+            elif at >= 0:
+                # expired, claimed before a live entry of a longer TTL
+                del bucket[at:at + _RECORD_BYTES]
+                self._count -= 1
                 self._evicted += 1
-            entries[key] = now + ttl_ms
-            if len(entries) > self._peak:
-                self._peak = len(entries)
+            bucket += record
+            self._count += 1
+            if self._count > self._peak:
+                self._peak = self._count
             return True
 
     def sweep(self, now: int) -> int:
-        """Remove the expired prefix (expiry <= max(now, high-water time))
-        in claim order; returns how many entries were removed."""
+        """Evict what has expired by ``max(now, high-water time)``, as every
+        claim does first; returns how many entries were removed."""
         with self._lock:
-            return self._sweep_locked(self._advance_locked(now))
+            return self._evict_locked(self._advance_locked(now))
 
     def stats(self) -> RegistryStats:
         with self._lock:
-            live = len(self._expiry)
             return RegistryStats(
-                live_count=live,
+                live_count=self._count,
                 peak_count=self._peak,
                 evicted_total=self._evicted,
-                bytes_estimate=live * PER_ENTRY_BYTES,
+                bytes_estimate=self._count * PER_ENTRY_BYTES,
             )
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._expiry)
+            return self._count
+
+    def _records(self) -> dict[bytes, int]:
+        """Every stored entry as {key digest: expiry}; for tests."""
+        with self._lock:
+            return dict(_RECORD.iter_unpack(b"".join(
+                bucket for bucket in self._buckets if bucket)))
 
     def _advance_locked(self, now: int) -> int:
         # the high-water time: what the registry has removed, it removed at
@@ -119,18 +172,32 @@ class NonceRegistry:
         self._high_water = now
         return now
 
-    def _sweep_locked(self, now: int) -> int:
-        # Sweeps run in batches, not on every claim: iterating a dict from
-        # the front walks the slots its deletions left behind, until the next
-        # resize compacts them, so a per-claim sweep would cost O(live).
-        entries = self._expiry
-        dead = []
-        for key, expiry in entries.items():
-            if expiry > now:
-                break
-            dead.append(key)
-        for key in dead:
-            del entries[key]
-        self._evicted += len(dead)
-        self._last_sweep = now
-        return len(dead)
+    def _evict_locked(self, now: int) -> int:
+        ring = self._ring
+        start = self._ring_start
+        end = len(ring)
+        # a ring entry has expired by now iff it is at most this
+        limit = now << _BUCKET_BITS | _BUCKET_MASK
+        if start == end or ring[start] > limit:
+            return 0  # nothing has expired: no bucket is touched
+        buckets = self._buckets
+        removed = 0
+        while start < end and ring[start] <= limit:
+            bucket = buckets[ring[start] & _BUCKET_MASK]
+            start += 1
+            cut = 0
+            while (cut < len(bucket) and
+                   _expiry_at(bucket, cut + _DIGEST_BYTES)[0] <= now):
+                cut += _RECORD_BYTES
+            if cut:
+                del bucket[:cut]
+                removed += cut // _RECORD_BYTES
+        # drop the evicted ring entries once they are an eighth of the ring:
+        # each compaction moves at most 7 live entries per evicted one
+        if start * 8 >= end:
+            del ring[:start]
+            start = 0
+        self._ring_start = start
+        self._count -= removed
+        self._evicted += removed
+        return removed

@@ -28,7 +28,7 @@ from .mandate import (
     request_problem,
     verify_signature,
 )
-from .registry import NonceRegistry
+from .registry import MAX_TTL_MS, NonceRegistry
 
 # threads the experiments verify on at once unless told otherwise; here, not
 # in the harness, so that the command line can show it without loading that
@@ -133,6 +133,9 @@ class VerifierConfig:
             raise ValueError("window must be positive")
         if self.skew_tolerance < 0:
             raise ValueError("skew_tolerance must be non-negative")
+        if self.nonce_ttl_ms > MAX_TTL_MS:
+            raise ValueError("window + 2 * skew_tolerance must be under "
+                             f"{MAX_TTL_MS // 1000} s")
 
     @property
     def window_ms(self) -> int:

@@ -161,17 +161,20 @@ def test_criterion_3_ttl_sweep(report):
     if len({p.peak_entries for p in plateau}) != 1:
         problems.append(
             f"plateau peaks differ: {[p.peak_entries for p in plateau]}")
+    plateau_bytes = 100_000 * PER_ENTRY_BYTES
     for point in plateau:
-        if abs(point.bytes_estimate - 12.5e6) > 1.25e6:
+        if abs(point.bytes_estimate - plateau_bytes) > 0.1 * plateau_bytes:
             problems.append(f"window {point.window:g}: bytes "
-                            f"{point.bytes_estimate} outside 12.5MB +-10%")
+                            f"{point.bytes_estimate} outside "
+                            f"{plateau_bytes / 1e6:.2f}MB +-10%")
 
     elapsed = time.monotonic() - t0
     if elapsed >= 60:
         problems.append(f"runtime {elapsed:.1f}s >= 60s")
     peaks = ", ".join(f"{p.window:g}s->{p.peak_entries}" for p in points)
     report(3, "ttl sweep", problems,
-            f"peaks {peaks}; plateau 12.50MB at {PER_ENTRY_BYTES}B/entry", elapsed)
+            f"peaks {peaks}; plateau {plateau_bytes / 1e6:.2f}MB at "
+            f"{PER_ENTRY_BYTES}B/entry", elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def test_criterion_6_side_effect_isolation(issuer, keystore, report):
     for i in range(500):
         registry.consume_once(f"nonce:{rng.getrandbits(128):032x}", NOW,
                               10 ** 9)
-    snapshot = dict(registry._expiry)
+    snapshot = registry._records()
 
     mutations = 0
     for i in range(10_000):
@@ -326,11 +329,11 @@ def test_criterion_6_side_effect_isolation(issuer, keystore, report):
             if len(problems) < 3:
                 problems.append(f"request {i}: {decision.reason.value}, "
                                 f"expected {expected.value}")
-        if registry._expiry != snapshot:
+        if registry._records() != snapshot:
             mutations += 1
             if len(problems) < 3:
                 problems.append(f"request {i}: registry mutated")
-            snapshot = dict(registry._expiry)
+            snapshot = registry._records()
 
     if registry.stats().live_count != 500:
         problems.append(f"live_count {registry.stats().live_count} != 500")

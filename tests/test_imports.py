@@ -10,8 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # OpenSSL (through hashlib, hmac or ssl), and urllib.request with the
 # http.client and email packages it imports: serving needs none of them
-SERVING_NEVER_LOADS = ("_hashlib", "_ssl", "urllib.request", "http.client",
-                       "email")
+SERVING_NEVER_LOADS = ("hashlib", "_hashlib", "_ssl", "urllib.request",
+                       "http.client", "email")
 
 
 def _run(code: str):

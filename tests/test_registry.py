@@ -1,6 +1,9 @@
+import bisect
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,49 +11,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztrv import NonceRegistry
-from ztrv.registry import PER_ENTRY_BYTES, SWEEP_INTERVAL_MS
+from ztrv import registry as registry_module
+from ztrv.registry import PER_ENTRY_BYTES, key_digest
 
 
 class ReferenceRegistry:
-    """Brute-force oracle: a plain dict with the same stated semantics,
-    including a full sweep once SWEEP_INTERVAL_MS has passed since the last,
-    and every claim and sweep taken at the latest instant seen so far."""
+    """Brute-force oracle: a plain dict from key digest to expiry with the
+    same stated semantics.  Every claim and sweep is taken at the latest
+    instant seen so far, and first removes every entry expired by then."""
 
     def __init__(self):
         self.entries = {}
-        self.last_sweep = None
         self.high_water = None
 
-    def advance(self, now):
+    def sweep(self, now):
         if self.high_water is not None:
             now = max(now, self.high_water)
         self.high_water = now
-        return now
+        dead = [d for d, exp in self.entries.items() if exp <= now]
+        for d in dead:
+            del self.entries[d]
+        return len(dead)
 
     def consume_once(self, key, now, ttl, last_fresh=None):
-        now = self.advance(now)
-        if self.last_sweep is None:
-            self.last_sweep = now
-        elif now - self.last_sweep >= SWEEP_INTERVAL_MS:
-            self.sweep(now)
-        current = self.entries.get(key)
-        if current is not None and current > now:
+        self.sweep(now)
+        now = self.high_water
+        digest = key_digest(key)
+        if digest in self.entries:
             return False
         if last_fresh is not None and now > last_fresh:
             return None
-        self.entries[key] = now + ttl
+        self.entries[digest] = now + ttl
         return True
 
-    def sweep(self, now):
-        now = self.advance(now)
-        dead = [k for k, exp in self.entries.items() if exp <= now]
-        for k in dead:
-            del self.entries[k]
-        self.last_sweep = now
-        return len(dead)
-
     def live(self, now):
-        return {k for k, exp in self.entries.items() if exp > now}
+        return {d for d, exp in self.entries.items() if exp > now}
+
+
+def expiry_of(reg, key):
+    """The stored expiry of ``key``, None when no entry is stored."""
+    return reg._records().get(key_digest(key))
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +100,9 @@ def test_claim_dated_before_a_later_claim_is_taken_at_that_claim():
     reg = NonceRegistry()
     assert reg.consume_once("a", 1_000, 100)
     assert reg.consume_once("b", 2_000, 100)
-    assert "a" not in reg._expiry
+    assert expiry_of(reg, "a") is None
     assert reg.consume_once("a", 1_050, 100) is True
-    assert reg._expiry["a"] == 2_100
+    assert expiry_of(reg, "a") == 2_100
     assert reg.consume_once("a", 2_099, 100) is False
 
 
@@ -111,10 +111,10 @@ def test_claim_past_last_fresh_is_refused_and_claims_nothing():
     assert reg.consume_once("a", 1_000, 100, 1_000)
     assert reg.consume_once("b", 2_000, 100, 2_000)
     assert reg.consume_once("a", 1_050, 100, 1_100) is None
-    assert set(reg._expiry) == {"b"}
+    assert set(reg._records()) == {key_digest("b")}
     # fresh at the high-water time: claimed there
     assert reg.consume_once("a", 1_050, 100, 2_000) is True
-    assert reg._expiry["a"] == 2_100
+    assert expiry_of(reg, "a") == 2_100
 
 
 def test_live_claim_is_a_replay_whatever_last_fresh_says():
@@ -129,7 +129,7 @@ def test_sweep_raises_the_high_water_time():
     assert reg.sweep(5_000) == 1
     assert reg.consume_once("k", 100, 1_000, 4_000) is None
     assert reg.consume_once("k", 100, 1_000, 5_000) is True
-    assert reg._expiry["k"] == 6_000
+    assert expiry_of(reg, "k") == 6_000
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +154,65 @@ def test_one_ttl_matches_reference_for_any_time_order(ttl, ops):
             assert (reg.consume_once(f"k{k}", now, ttl, last_fresh)
                     == ref.consume_once(f"k{k}", now, ttl, last_fresh)), \
                 f"step {step}"
-        assert reg._expiry == ref.entries, f"step {step}"
+        assert reg._records() == ref.entries, f"step {step}"
+
+
+# ---------------------------------------------------------------------------
+# packed records
+# ---------------------------------------------------------------------------
+
+def test_keys_with_one_digest_act_as_one_key(monkeypatch):
+    # a digest collision can only turn a first use into a replay: of any
+    # keys sharing a digest, one claim wins per TTL
+    monkeypatch.setattr(registry_module, "key_digest",
+                        lambda key: b"\x5a" * 16)
+    reg = NonceRegistry()
+    assert reg.consume_once("a", 0, 1_000) is True
+    assert reg.consume_once("b", 1, 1_000) is False
+    assert [reg.consume_once(k, 2, 1_000) for k in "abcd"] == [False] * 4
+    assert reg.consume_once("b", 1_000, 1_000) is True
+    assert reg.consume_once("a", 1_001, 1_000) is False
+    assert len(reg) == 1
+
+
+def test_digest_inside_another_record_is_not_a_hit(monkeypatch):
+    # "y"'s digest is bytes 4..19 of "x"'s record (the end of "x"'s digest
+    # and the start of its expiry), and both share a bucket
+    x = bytes([0x11, 0x10, 2, 3, 0x11, 0x10]) + bytes(range(6, 16))
+    y = x[4:] + (1_000).to_bytes(8, "big")[:4]
+    assert (x + (1_000).to_bytes(8, "big")).find(y) == 4
+    digests = {"x": x, "y": y}
+    monkeypatch.setattr(registry_module, "key_digest", digests.__getitem__)
+    reg = NonceRegistry()
+    assert reg.consume_once("x", 0, 1_000) is True
+    assert reg.consume_once("y", 1, 1_000) is True
+    # the misaligned match comes first; the record behind it is still found
+    assert reg.consume_once("y", 2, 1_000) is False
+    assert reg.consume_once("x", 2, 1_000) is False
+    assert reg._records() == {x: 1_000, y: 1_001}
+
+
+def test_eviction_touches_only_what_expired():
+    reg = NonceRegistry()
+    for i in range(1_000):
+        assert reg.consume_once(f"k{i}", i, 10_000)
+    buckets = [None if b is None else bytes(b) for b in reg._buckets]
+    start = reg._ring_start
+    # nothing has expired: only the claimed key's bucket changes
+    assert reg.consume_once("new", 5_000, 10_000)
+    digest = key_digest("new")
+    index = digest[0] << 4 | digest[1] >> 4
+    for i, bucket in enumerate(reg._buckets):
+        if i != index:
+            assert (None if bucket is None else bytes(bucket)) == buckets[i]
+    assert reg._ring_start == start
+    assert reg.stats().evicted_total == 0
+    # entries 0..5 expire by 10,005: the ring start moves past exactly them
+    assert reg.consume_once("later", 10_005, 10_000)
+    assert reg.stats().evicted_total == 6
+    assert reg._ring_start == start + 6
+    assert all(expiry_of(reg, f"k{i}") is None for i in range(6))
+    assert expiry_of(reg, "k6") == 10_006
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +250,7 @@ def test_sweep_completeness():
         now += rng.randrange(0, 40)
         reg.consume_once(f"k{i}", now=now, ttl_ms=2_000)
     reg.sweep(now=now - 1_000)
-    assert all(exp > now - 1_000 for exp in reg._expiry.values())
+    assert all(exp > now - 1_000 for exp in reg._records().values())
     assert len(reg) < 500
 
 
@@ -264,8 +322,8 @@ def test_lazy_reclaim_counts_as_eviction():
 @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 15),
                           st.integers(1, 2_000)), max_size=150))
 def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
-    # mixed TTLs, non-decreasing time, automatic sweeps: every decision and
-    # the set of unexpired keys equal the oracle's
+    # mixed TTLs, non-decreasing time, eviction on every claim: every
+    # decision and the set of unexpired keys equal the oracle's
     reg = NonceRegistry()
     ref = ReferenceRegistry()
     now = 0
@@ -274,7 +332,7 @@ def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
         key = f"k{k}"
         assert (reg.consume_once(key, now, ttl)
                 == ref.consume_once(key, now, ttl)), f"step {step}"
-        live = {name for name, exp in reg._expiry.items() if exp > now}
+        live = {d for d, exp in reg._records().items() if exp > now}
         assert live == ref.live(now), f"step {step}"
 
 
@@ -294,7 +352,7 @@ def test_one_ttl_matches_reference_sweeps_and_keys(ttl):
         else:
             assert reg.sweep(now) == ref.sweep(now), f"step {step}"
     assert reg.sweep(now) == ref.sweep(now)
-    assert set(reg._expiry) == set(ref.entries)
+    assert reg._records() == ref.entries
     assert reg.stats().evicted_total > 0
 
 
@@ -343,8 +401,10 @@ def test_exactly_once_under_concurrency(n_threads, trials):
 
 def test_concurrent_out_of_order_claims_keep_claim_order_expiry_order():
     # threads claim at instants that go back and forth; each claim is taken
-    # at the high-water time, so with one TTL the stored expiries stay in
-    # claim order, which a lost update of that time would break
+    # at the high-water time, so with one TTL the ring stays in expiry
+    # order, which a lost update of that time would break.  Eviction stops
+    # at the first live ring entry, so out of order, some sweep below would
+    # leave an expired entry stored
     reg = NonceRegistry()
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -364,8 +424,12 @@ def test_concurrent_out_of_order_claims_keep_claim_order_expiry_order():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old_interval)
-    expiries = list(reg._expiry.values())
-    assert expiries == sorted(expiries)
+    expiries = sorted(reg._records().values())
+    assert len(expiries) == len(reg) > 0
+    for instant in expiries:
+        reg.sweep(instant)
+        assert len(reg) == len(expiries) - bisect.bisect_right(expiries,
+                                                               instant)
 
 
 def test_concurrent_mixed_keys_all_single_winner():
@@ -393,6 +457,29 @@ def test_concurrent_mixed_keys_all_single_winner():
 # ---------------------------------------------------------------------------
 # memory bound
 # ---------------------------------------------------------------------------
+
+def test_per_entry_bytes_matches_traced_memory_at_churn():
+    # 200,000 claims churn through 100,000 live entries under one TTL: the
+    # estimate is within 10% of what tracemalloc sees the registry hold, and
+    # no resize makes the traced peak more than 10% above that steady state
+    live, churn = 100_000, 200_000
+    keys = [f"nonce:{i:032x}" for i in range(live + churn)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = NonceRegistry()
+        for i, key in enumerate(keys):
+            reg.consume_once(key, i, live)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held -= base
+    peak -= base
+    assert len(reg) == live
+    assert abs(reg.stats().bytes_estimate - held) <= 0.1 * held, held / live
+    assert peak <= 1.1 * held, (peak / live, held / live)
+
 
 def test_memory_bound_under_sustained_insertion():
     # live_count <= rate x min(ttl, duration) x 1.05 given frequent sweeps

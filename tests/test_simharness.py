@@ -277,13 +277,10 @@ def test_ttl_sweep_matches_reference_registry():
         ttl_ms = int(point.window * 1000) + 1  # window + 2*skew + 1, skew 0
         entries = {}
         peak = 0
-        next_sweep = workload[0].at_ms + 100
         for item in workload:
-            while item.at_ms >= next_sweep:
-                for key in [k for k, exp in entries.items()
-                            if exp <= next_sweep]:
-                    del entries[key]
-                next_sweep += 100
+            # every claim first evicts what has expired by its instant
+            for key in [k for k, exp in entries.items() if exp <= item.at_ms]:
+                del entries[key]
             entries["nonce:" + item.request.mandate.nonce] = \
                 item.at_ms + ttl_ms
             peak = max(peak, len(entries))

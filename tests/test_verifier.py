@@ -20,6 +20,7 @@ from ztrv import (
     VerifierConfig,
     verify,
 )
+from ztrv.registry import MAX_TTL_MS, key_digest
 from ztrv.verifier import Decision
 
 from conftest import T0
@@ -122,7 +123,7 @@ def test_claim_overtaken_by_a_later_sweep_is_expired(make_request, keystore,
     b_at = last_fresh + 2
     assert verify(make_request(now=b_at), b_at, config, registry,
                   keystore).accepted
-    assert "nonce:" + a.mandate.nonce not in registry._expiry  # swept
+    assert key_digest("nonce:" + a.mandate.nonce) not in registry._records()
     replay = verify(a, last_fresh, config, registry, keystore)
     assert replay.reason is Reason.MANDATE_EXPIRED
 
@@ -245,6 +246,12 @@ def test_config_validation():
             VerifierConfig(window=bad)
         with pytest.raises(ValueError, match="skew_tolerance"):
             VerifierConfig(skew_tolerance=bad)
+    # the registry stores expiries of at most MAX_TTL_MS ahead
+    for window, skew in ((MAX_TTL_MS / 1000, 0), (60, MAX_TTL_MS / 2000)):
+        with pytest.raises(ValueError, match="window"):
+            VerifierConfig(window=window, skew_tolerance=skew)
+    assert VerifierConfig(window=(MAX_TTL_MS - 1) / 1000).nonce_ttl_ms \
+        == MAX_TTL_MS
     assert VerifierConfig(window=60).window_ms == 60_000
     assert VerifierConfig(skew_tolerance=5).skew_ms == 5_000
     assert VerifierConfig(window=60, skew_tolerance=5).nonce_ttl_ms == 70_001
@@ -303,7 +310,7 @@ def test_rejections_before_nonce_stage_leave_registry_unchanged(
     registry = fresh_registry()
     primer = make_request()
     assert verify(primer, T0 + 1, FULL, registry, keystore).accepted
-    snapshot = dict(registry._expiry)
+    snapshot = registry._records()
 
     request = make_request()
     failures = [
@@ -319,7 +326,7 @@ def test_rejections_before_nonce_stage_leave_registry_unchanged(
     for bad in failures:
         decision = verify(bad, T0 + 2, FULL, registry, keystore)
         assert not decision.accepted
-        assert registry._expiry == snapshot
+        assert registry._records() == snapshot
 
 
 def test_decision_outcome_iff_authorized(make_request, keystore):
