@@ -7,23 +7,27 @@ argument so the registry runs on workload timestamps in simulations and on
 the wall clock in the gateway, with identical behavior.
 
 The registry's time never goes backwards: it keeps the latest instant any
-claim or sweep was given (the high-water time) and takes an earlier one as
-that.  A claim whose caller read the clock before another thread's later
-claim swept the same key is thus taken at the later instant, when the swept
+claim was given (the high-water time) and takes an earlier one as that.  A
+claim whose caller read the clock before another thread's later claim
+evicted the same key is thus taken at the later instant, when the evicted
 entry had already expired, and a caller that names its last fresh instant
 has such a claim refused instead of granted a second time.
 
-Each entry is one 24-byte record: the 16-byte BLAKE2b digest of its key and
-its expiry as an 8-byte big-endian integer.  Records are appended, in claim
-order, to one of 4,096 ``bytearray`` buckets picked by the digest's top 12
-bits; a lookup is a ``find`` of the digest in its bucket that only counts a
-hit starting on a record boundary.  One ``array('q')`` ring holds ``expiry
-<< 12 | bucket`` for each claim, in claim order.  Before it looks a key up,
-every claim pops the ring entries that have expired by its instant and trims
-the expired prefix of each bucket they name.  That is O(expired) work, so it
-runs on every claim.  While claims share one TTL, as the verifier's do,
-claim order is expiry order in the ring and in each bucket, and the stored
-entries are exactly the live ones.
+Each entry is one 24-byte record: the 16-byte digest of its key and its
+expiry as an 8-byte big-endian integer.  The digest is a BLAKE2b keyed with
+a secret each registry draws from ``os.urandom``, the role SipHash's
+per-process key plays for a dict: whoever picks keys (an issuer picks its
+nonces) cannot compute their digests, so cannot aim them at one bucket and
+make every claim scan it.  Records are appended, in claim order, to one of
+4,096 ``bytearray`` buckets picked by the digest's top 12 bits; a lookup is
+a ``find`` of the digest in its bucket that only counts a hit starting on a
+record boundary.  One ``array('q')`` ring holds ``expiry << 12 | bucket``
+for each claim, in claim order.  Before it looks a key up, every claim pops
+the ring entries that have expired by its instant and trims the expired
+prefix of each bucket they name.  That is O(expired) work, so it runs on
+every claim.  While claims share one TTL, as the verifier's do, claim order
+is expiry order in the ring and in each bucket, and the stored entries are
+exactly the live ones.
 
 Two keys whose 128-bit digests are equal act as one key.  That can only
 turn a first use into a replay (fail closed), at odds of about 2**-128 per
@@ -32,6 +36,7 @@ pair of keys, and never grants a key a second claim.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from array import array
@@ -59,11 +64,6 @@ _BUCKET_MASK = (1 << _BUCKET_BITS) - 1
 MAX_TTL_MS = 1 << 50
 
 
-def key_digest(key: str) -> bytes:
-    """The 16 bytes the registry stores and looks up for ``key``."""
-    return blake2b(key.encode(), digest_size=_DIGEST_BYTES).digest()
-
-
 @dataclass(frozen=True)
 class RegistryStats:
     live_count: int
@@ -86,6 +86,7 @@ class NonceRegistry:
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._secret = os.urandom(16)
         # records in claim order; a bucket is made by its first claim
         self._buckets: list[bytearray | None] = [None] * (1 << _BUCKET_BITS)
         # expiry << _BUCKET_BITS | bucket per claim, in claim order, from
@@ -96,6 +97,11 @@ class NonceRegistry:
         self._peak = 0
         self._evicted = 0
         self._high_water: int | None = None
+
+    def key_digest(self, key: str) -> bytes:
+        """The 16 bytes this registry stores and looks up for ``key``."""
+        return blake2b(key.encode(), digest_size=_DIGEST_BYTES,
+                       key=self._secret).digest()
 
     def consume_once(self, key: str, now: int, ttl_ms: int,
                      last_fresh: int | None = None) -> bool | None:
@@ -109,10 +115,14 @@ class NonceRegistry:
         """
         if ttl_ms <= 0:
             raise ValueError("ttl_ms must be positive")
-        digest = key_digest(key)
+        digest = self.key_digest(key)
         index = digest[0] << 4 | digest[1] >> 4  # the top 12 bits
         with self._lock:
-            now = self._advance_locked(now)
+            # a claim dated before the high-water time is taken at that time
+            if self._high_water is not None and now < self._high_water:
+                now = self._high_water
+            else:
+                self._high_water = now
             self._evict_locked(now)
             bucket = self._buckets[index]
             at = -1 if bucket is None else bucket.find(digest)
@@ -139,12 +149,6 @@ class NonceRegistry:
                 self._peak = self._count
             return True
 
-    def sweep(self, now: int) -> int:
-        """Evict what has expired by ``max(now, high-water time)``, as every
-        claim does first; returns how many entries were removed."""
-        with self._lock:
-            return self._evict_locked(self._advance_locked(now))
-
     def stats(self) -> RegistryStats:
         with self._lock:
             return RegistryStats(
@@ -164,22 +168,14 @@ class NonceRegistry:
             return dict(_RECORD.iter_unpack(b"".join(
                 bucket for bucket in self._buckets if bucket)))
 
-    def _advance_locked(self, now: int) -> int:
-        # the high-water time: what the registry has removed, it removed at
-        # or before this instant
-        if self._high_water is not None and now < self._high_water:
-            return self._high_water
-        self._high_water = now
-        return now
-
-    def _evict_locked(self, now: int) -> int:
+    def _evict_locked(self, now: int) -> None:
         ring = self._ring
         start = self._ring_start
         end = len(ring)
         # a ring entry has expired by now iff it is at most this
         limit = now << _BUCKET_BITS | _BUCKET_MASK
         if start == end or ring[start] > limit:
-            return 0  # nothing has expired: no bucket is touched
+            return  # nothing has expired: no bucket is touched
         buckets = self._buckets
         removed = 0
         while start < end and ring[start] <= limit:
@@ -200,4 +196,3 @@ class NonceRegistry:
         self._ring_start = start
         self._count -= removed
         self._evicted += removed
-        return removed

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 
 from .mandate import (
@@ -33,8 +34,8 @@ from .mandate import (
     issue_mandate,
 )
 from .registry import PER_ENTRY_BYTES, NonceRegistry, RegistryStats
-from .verifier import (DEFAULT_CONCURRENCY, Mode, StageTimings, VerifierConfig,
-                       verify)
+from .verifier import (DEFAULT_CONCURRENCY, Decision, Mode, Reason,
+                       StageTimings, VerifierConfig, admit, check, verify)
 
 MERCHANT_POOL = tuple(f"merchant-{i:02d}" for i in range(8))
 SCOPE_POOL = ("/checkout/confirm", "/orders/place", "/subscriptions/renew",
@@ -224,6 +225,45 @@ def summarize_timings(timings: list[StageTimings]) -> dict:
     return out
 
 
+def _verify_waves(waves: list[list[list[TimedRequest]]],
+                  config: VerifierConfig, registry: NonceRegistry,
+                  keystore: Keystore, concurrency: int,
+                  pace_s: float | None = None) -> tuple[list[Decision], float]:
+    """Verify waves of request batches, each request at its own ``at_ms``.
+
+    Waves run one after another, a wave's batches at once on a pool of
+    ``concurrency`` threads (a lone batch on the calling thread), each batch
+    in order.  ``pace_s`` offers a wave's k-th batch k * pace_s s after its
+    first.  Returns the decisions in request order, and the seconds from the
+    first dispatch to the last verification done.
+    """
+    def run_batch(batch):
+        return ([verify(item.request, item.at_ms, config, registry, keystore)
+                 for item in batch],
+                time.perf_counter())
+
+    decisions = []
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        t0 = last_done = time.perf_counter()
+        for wave in waves:
+            if len(wave) == 1:
+                done = [run_batch(wave[0])]
+            else:
+                start = time.perf_counter()
+                futures = []
+                for k, batch in enumerate(wave):
+                    if pace_s is not None:
+                        delay = start + k * pace_s - time.perf_counter()
+                        if delay > 0:
+                            time.sleep(delay)
+                    futures.append(pool.submit(run_batch, batch))
+                done = [f.result() for f in futures]
+            for batch_decisions, finished in done:
+                decisions.extend(batch_decisions)
+                last_done = max(last_done, finished)
+    return decisions, last_done - t0
+
+
 def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
                    rate: float = 100.0, duration: float = ATTACK_DURATION_S,
                    seed: int = 42,
@@ -248,42 +288,25 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     config = VerifierConfig(mode=mode)
     registry = NonceRegistry()
 
-    outcomes: list[tuple[TimedRequest, bool]] = []  # (item, accepted)
-    timings: list[StageTimings] = []
-
-    def run_one(item: TimedRequest, now: int):
-        decision = verify(item.request, now, config, registry, keystore)
-        return item, decision.accepted, decision.timings
-
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        i = 0
-        while i < len(items):
-            j = i
-            while j < len(items) and items[j].at_ms == items[i].at_ms:
-                j += 1
-            wave = items[i:j]
-            now = wave[0].at_ms
-            if len(wave) == 1:
-                results = [run_one(wave[0], now)]
-            else:
-                futures = [pool.submit(run_one, item, now) for item in wave]
-                results = [f.result() for f in futures]
-            for item, accepted, t in results:
-                outcomes.append((item, accepted))
-                timings.append(t)
-            i = j
+    # one wave per timestamp, one request per batch: a wave's requests race
+    # each other, and a replay never overtakes the first use it replays
+    waves = [[[item] for item in wave]
+             for _, wave in groupby(items, key=lambda it: it.at_ms)]
+    decisions, _ = _verify_waves(waves, config, registry, keystore,
+                                 concurrency)
 
     # conservation: every submitted request got exactly one decision
-    if len(outcomes) != len(legit) + len(attacks):
-        raise RuntimeError(f"{len(outcomes)} decisions for "
-                           f"{len(legit) + len(attacks)} requests")
-
-    attacks_launched = sum(1 for item, _ in outcomes if item.is_attack)
-    attacks_intercepted = sum(1 for item, accepted in outcomes
-                              if item.is_attack and not accepted)
+    if len(decisions) != len(items):
+        raise RuntimeError(f"{len(decisions)} decisions for "
+                           f"{len(items)} requests")
+    outcomes = [(item.is_attack, decision.accepted)
+                for item, decision in zip(items, decisions)]
+    attacks_launched = sum(is_attack for is_attack, _ in outcomes)
+    attacks_intercepted = sum(is_attack and not accepted
+                              for is_attack, accepted in outcomes)
     legit_sent = len(outcomes) - attacks_launched
-    legit_accepted = sum(1 for item, accepted in outcomes
-                         if not item.is_attack and accepted)
+    legit_accepted = sum(accepted and not is_attack
+                         for is_attack, accepted in outcomes)
 
     return SimReport(
         scenario=scenario.kind.value if scenario else "legitimate",
@@ -296,7 +319,8 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
         legit_accepted=legit_accepted,
         false_positive_rate=(1.0 - legit_accepted / legit_sent
                              if legit_sent else 0.0),
-        stage_latency_percentiles=summarize_timings(timings),
+        stage_latency_percentiles=summarize_timings(
+            [decision.timings for decision in decisions]),
         registry_stats=registry.stats(),
     )
 
@@ -353,31 +377,29 @@ def ttl_sweep(windows: list[float], rate: float = 10_000.0,
               duration: float = 10.0, *, seed: int = 42) -> list[TtlSweepPoint]:
     """Peak registry occupancy as a function of the validity window.
 
-    One legit-only workload is generated once and replayed against a fresh
-    registry per window, each request at its own timestamp.  Expected peak is
-    rate x min(window, duration): shorter windows let entries expire during
-    the run, longer ones plateau at the full workload size.
+    One legit-only workload is generated, and each request checked, once;
+    then admitted at its own timestamp into a fresh registry per window, in
+    workload order.  Expected peak is rate x min(window, duration): shorter
+    windows let entries expire during the run, longer ones plateau at the
+    full workload size.
     """
     issuer = sim_issuer(seed)
     keystore = Keystore.for_issuers(issuer)
     workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
-    points = []
-    for window in windows:
-        config = VerifierConfig(window=window)
-        registry = NonceRegistry()
-        for item in workload:
-            decision = verify(item.request, item.at_ms, config, registry,
-                              keystore)
-            if not decision.accepted:  # a legit-only stream: a bug
-                raise RuntimeError(f"window {window:g}: legitimate request "
-                                   f"answered {decision.reason.value}")
-        stats = registry.stats()
-        points.append(TtlSweepPoint(
-            window=window,
-            peak_entries=stats.peak_count,
-            bytes_estimate=stats.peak_count * PER_ENTRY_BYTES,
-        ))
-    return points
+    runs = [(VerifierConfig(window=window), NonceRegistry())
+            for window in windows]
+    for item in workload:
+        rejected = check(item.request, keystore)[0]
+        for config, registry in runs:
+            reason = rejected or admit(item.request, item.at_ms, config,
+                                       registry)[0]
+            if reason is not Reason.AUTHORIZED:  # a legit-only stream: a bug
+                raise RuntimeError(f"window {config.window:g}: legitimate "
+                                   f"request answered {reason.value}")
+    peaks = [registry.stats().peak_count for _, registry in runs]
+    return [TtlSweepPoint(window=window, peak_entries=peak,
+                          bytes_estimate=peak * PER_ENTRY_BYTES)
+            for window, peak in zip(windows, peaks)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,39 +432,6 @@ class ThroughputPoint:
         return asdict(self)
 
 
-def _drain_bench(keystore, concurrency,
-                 batches: list[list[TimedRequest]], pace_s: float | None):
-    """Feed request batches to a worker pool; returns (timings, accepted, elapsed_s).
-
-    Each request is verified at its own ``at_ms``.  ``pace_s`` is the
-    inter-batch dispatch interval (None = unpaced burst).  Elapsed time runs
-    from first dispatch to last completed verification.
-    """
-    config = VerifierConfig()
-    registry = NonceRegistry()
-
-    def run_batch(batch):
-        return ([verify(item.request, item.at_ms, config, registry, keystore)
-                 for item in batch],
-                time.perf_counter())
-
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        t0 = time.perf_counter()
-        futures = []
-        for k, batch in enumerate(batches):
-            if pace_s is not None:
-                delay = (t0 + k * pace_s) - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-            futures.append(pool.submit(run_batch, batch))
-        done = [f.result() for f in futures]
-
-    decisions = [d for batch_decisions, _ in done for d in batch_decisions]
-    accepted = sum(decision.accepted for decision in decisions)
-    last_done = max((finished for _, finished in done), default=t0)
-    return [d.timings for d in decisions], accepted, last_done - t0
-
-
 def _bench_point(offered_rate: float, rate: float, duration: float,
                  concurrency: int, seed: int, pace_s: float | None,
                  batch_size: int) -> ThroughputPoint:
@@ -455,14 +444,16 @@ def _bench_point(offered_rate: float, rate: float, duration: float,
     workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
     batches = [workload[i:i + batch_size]
                for i in range(0, len(workload), batch_size)]
-    timings, accepted, elapsed_s = _drain_bench(
-        Keystore.for_issuers(issuer), concurrency, batches, pace_s)
+    decisions, elapsed_s = _verify_waves(
+        [batches], VerifierConfig(), NonceRegistry(),
+        Keystore.for_issuers(issuer), concurrency, pace_s)
     return ThroughputPoint(
         offered_rate=offered_rate,
-        achieved_rate=len(timings) / elapsed_s if elapsed_s > 0 else 0.0,
-        verified=len(timings),
-        accepted=accepted,
-        stage_latency_percentiles=summarize_timings(timings),
+        achieved_rate=len(decisions) / elapsed_s if elapsed_s > 0 else 0.0,
+        verified=len(decisions),
+        accepted=sum(decision.accepted for decision in decisions),
+        stage_latency_percentiles=summarize_timings(
+            [decision.timings for decision in decisions]),
     )
 
 
@@ -481,10 +472,10 @@ def throughput_bench(rates: list[float], duration: float = 10.0,
     A rate the host cannot sustain shows up as achieved < offered, never as
     an error.  ``capacity_probe`` measures the unpaced capacity.
     """
+    if any(rate <= 0 for rate in rates):
+        raise ValueError("rates must be positive")
     points = []
     for rate in rates:
-        if rate <= 0:
-            raise ValueError("rates must be positive")
         # ~5 ms dispatch ticks; low rates degrade to per-request dispatch
         batch_size = max(1, int(round(rate * 0.005)))
         pace_s = batch_size / rate

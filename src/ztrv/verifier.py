@@ -12,6 +12,9 @@ Only a request that passes every enabled stage is authorized; every other
 path is an explicit rejection, and unexpected states reject rather than
 accept.  Modes exist solely to ablate stages 4 and 5 in experiments, which
 build their configs in Python; the gateway always runs Mode.FULL.
+
+Stages 1-2 depend only on the request and the keystore (``check``), stages
+3-5 on the time and the registry (``admit``); ``verify`` runs both.
 """
 
 from __future__ import annotations
@@ -153,73 +156,83 @@ class VerifierConfig:
         return self.window_ms + 2 * self.skew_ms + 1
 
 
-def verify(request: VerificationRequest | None, now: int,
-           config: VerifierConfig, registry: NonceRegistry,
-           keystore: Keystore) -> Decision:
-    """Run the pipeline at time ``now`` (unix ms); the decision carries the
-    time each stage took.  ``request`` is whatever the caller has: stage 1
-    rejects anything that is not a fully well-formed request, None included.
-    """
-    t_start = time.perf_counter_ns()
-    signature_ns = 0
-    context_ns = 0
-    registry_ns = 0
-
-    def done(reason: Reason, mandate_id: str) -> Decision:
-        return Decision(reason=reason, mandate_id=mandate_id,
-                        timings=StageTimings(
-                            signature_ns=signature_ns,
-                            context_ns=context_ns,
-                            registry_ns=registry_ns,
-                            total_ns=time.perf_counter_ns() - t_start,
-                        ))
-
+def check(request: VerificationRequest | None,
+          keystore: Keystore) -> tuple[Reason | None, int]:
+    """Run stages 1-2; returns the reason to reject with (None if both
+    pass) and the nanoseconds stage 2 took.  ``request`` is whatever the
+    caller has: stage 1 rejects anything that is not a fully well-formed
+    request, None included."""
     # stage 1: shape. A request that cannot be fully validated is rejected
     # without looking at any of its contents, its mandate_id included.
     if request_problem(request) is not None:
-        return done(Reason.MALFORMED_REQUEST, "")
-
-    mandate = request.mandate
+        return Reason.MALFORMED_REQUEST, 0
 
     # stage 2: signature over the canonical encoding, under the key named by
     # key_id. An unknown key_id is indistinguishable from a bad signature.
+    mandate = request.mandate
     t0 = time.perf_counter_ns()
     public_key = keystore.lookup(mandate.key_id)
     signature_ok = public_key is not None and verify_signature(mandate, public_key)
     signature_ns = time.perf_counter_ns() - t0
-    if not signature_ok:
-        return done(Reason.INVALID_SIGNATURE, mandate.mandate_id)
+    return None if signature_ok else Reason.INVALID_SIGNATURE, signature_ns
 
+
+def admit(request: VerificationRequest, now: int, config: VerifierConfig,
+          registry: NonceRegistry) -> tuple[Reason, int, int]:
+    """Run stages 3-5 at time ``now`` (unix ms) on a request ``check``
+    passed; returns the reason and the nanoseconds stages 4 and 5 took."""
+    mandate = request.mandate
     # stage 3: freshness. Expired iff now > issued_at + window + skew, the
     # mandate's last fresh instant; equality is still fresh. Future-dating
     # beyond skew is also rejected.
     skew_ms = config.skew_ms
     last_fresh = mandate.issued_at + config.window_ms + skew_ms
     if now > last_fresh or mandate.issued_at - now > skew_ms:
-        return done(Reason.MANDATE_EXPIRED, mandate.mandate_id)
+        return Reason.MANDATE_EXPIRED, 0, 0
 
     # stage 4: context binding. The hash is recomputed from the observed
     # context; the mandate's stored hash must match exactly.
+    context_ns = 0
     if config.mode.checks_context:
         t0 = time.perf_counter_ns()
         observed = hash_context_fields(request.context)
         context_ns = time.perf_counter_ns() - t0
         if observed != mandate.context_hash:
-            return done(Reason.CONTEXT_MISMATCH, mandate.mandate_id)
+            return Reason.CONTEXT_MISMATCH, context_ns, 0
 
     # stage 5: nonce consumption, the last stage so that a consumed nonce
     # always corresponds to an accepted request. The entry outlives the last
     # instant at which the mandate could pass stage 3. A claim the registry
     # can only take after that instant (another claim has already moved its
-    # time past it, and may have swept this nonce) is stale, not a replay.
-    if config.mode.checks_nonce:
-        t0 = time.perf_counter_ns()
-        claimed = registry.consume_once("nonce:" + mandate.nonce, now,
-                                        config.nonce_ttl_ms, last_fresh)
-        registry_ns = time.perf_counter_ns() - t0
-        if claimed is None:
-            return done(Reason.MANDATE_EXPIRED, mandate.mandate_id)
-        if not claimed:
-            return done(Reason.REPLAY_DETECTED, mandate.mandate_id)
+    # time past it, and may have evicted this nonce) is stale, not a replay.
+    if not config.mode.checks_nonce:
+        return Reason.AUTHORIZED, context_ns, 0
+    t0 = time.perf_counter_ns()
+    claimed = registry.consume_once("nonce:" + mandate.nonce, now,
+                                    config.nonce_ttl_ms, last_fresh)
+    registry_ns = time.perf_counter_ns() - t0
+    if claimed is None:
+        return Reason.MANDATE_EXPIRED, context_ns, registry_ns
+    if not claimed:
+        return Reason.REPLAY_DETECTED, context_ns, registry_ns
+    return Reason.AUTHORIZED, context_ns, registry_ns
 
-    return done(Reason.AUTHORIZED, mandate.mandate_id)
+
+def verify(request: VerificationRequest | None, now: int,
+           config: VerifierConfig, registry: NonceRegistry,
+           keystore: Keystore) -> Decision:
+    """Run the pipeline at time ``now`` (unix ms): ``check``, then ``admit``
+    if it passed.  The decision carries the time each stage took."""
+    t_start = time.perf_counter_ns()
+    reason, signature_ns = check(request, keystore)
+    context_ns = registry_ns = 0
+    if reason is None:
+        reason, context_ns, registry_ns = admit(request, now, config, registry)
+    return Decision(
+        reason=reason,
+        # stage 1 reads nothing of a request it rejects
+        mandate_id=("" if reason is Reason.MALFORMED_REQUEST
+                    else request.mandate.mandate_id),
+        timings=StageTimings(signature_ns=signature_ns, context_ns=context_ns,
+                             registry_ns=registry_ns,
+                             total_ns=time.perf_counter_ns() - t_start))

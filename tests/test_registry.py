@@ -1,5 +1,6 @@
 import bisect
 import gc
+import hashlib
 import random
 import sys
 import threading
@@ -11,32 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztrv import NonceRegistry
-from ztrv import registry as registry_module
-from ztrv.registry import PER_ENTRY_BYTES, key_digest
+from ztrv.registry import PER_ENTRY_BYTES
 
 
 class ReferenceRegistry:
     """Brute-force oracle: a plain dict from key digest to expiry with the
-    same stated semantics.  Every claim and sweep is taken at the latest
-    instant seen so far, and first removes every entry expired by then."""
+    same stated semantics.  Every claim is taken at the latest instant seen
+    so far, and first removes every entry expired by then.  Keys are
+    digested with the mirrored registry's own keyed digest."""
 
-    def __init__(self):
+    def __init__(self, mirrored):
+        self.key_digest = mirrored.key_digest
         self.entries = {}
         self.high_water = None
 
-    def sweep(self, now):
+    def consume_once(self, key, now, ttl, last_fresh=None):
         if self.high_water is not None:
             now = max(now, self.high_water)
         self.high_water = now
-        dead = [d for d, exp in self.entries.items() if exp <= now]
-        for d in dead:
+        for d in [d for d, exp in self.entries.items() if exp <= now]:
             del self.entries[d]
-        return len(dead)
-
-    def consume_once(self, key, now, ttl, last_fresh=None):
-        self.sweep(now)
-        now = self.high_water
-        digest = key_digest(key)
+        digest = self.key_digest(key)
         if digest in self.entries:
             return False
         if last_fresh is not None and now > last_fresh:
@@ -50,7 +46,7 @@ class ReferenceRegistry:
 
 def expiry_of(reg, key):
     """The stored expiry of ``key``, None when no entry is stored."""
-    return reg._records().get(key_digest(key))
+    return reg._records().get(reg.key_digest(key))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ def test_ttl_must_be_positive():
 # ---------------------------------------------------------------------------
 
 def test_claim_dated_before_a_later_claim_is_taken_at_that_claim():
-    # "b" at 2,000 sweeps "a"; a claim of "a" dated 1,050, when the swept
+    # "b" at 2,000 evicts "a"; a claim of "a" dated 1,050, when the evicted
     # entry was still live, is taken at 2,000 and lives until 2,100
     reg = NonceRegistry()
     assert reg.consume_once("a", 1_000, 100)
@@ -111,7 +107,7 @@ def test_claim_past_last_fresh_is_refused_and_claims_nothing():
     assert reg.consume_once("a", 1_000, 100, 1_000)
     assert reg.consume_once("b", 2_000, 100, 2_000)
     assert reg.consume_once("a", 1_050, 100, 1_100) is None
-    assert set(reg._records()) == {key_digest("b")}
+    assert set(reg._records()) == {reg.key_digest("b")}
     # fresh at the high-water time: claimed there
     assert reg.consume_once("a", 1_050, 100, 2_000) is True
     assert expiry_of(reg, "a") == 2_100
@@ -123,10 +119,11 @@ def test_live_claim_is_a_replay_whatever_last_fresh_says():
     assert reg.consume_once("k", 500, 1_000, 0) is False
 
 
-def test_sweep_raises_the_high_water_time():
+def test_claim_of_another_key_raises_the_high_water_time():
     reg = NonceRegistry()
     assert reg.consume_once("k", 0, 1_000)
-    assert reg.sweep(5_000) == 1
+    assert reg.consume_once("unused", 5_000, 1_000)
+    assert expiry_of(reg, "k") is None and len(reg) == 1
     assert reg.consume_once("k", 100, 1_000, 4_000) is None
     assert reg.consume_once("k", 100, 1_000, 5_000) is True
     assert expiry_of(reg, "k") == 6_000
@@ -140,20 +137,17 @@ def test_sweep_raises_the_high_water_time():
                 max_size=150))
 def test_one_ttl_matches_reference_for_any_time_order(ttl, ops):
     # times that go back as well as forward, claims with and without a last
-    # fresh instant, explicit sweeps among them: claims are taken in time
-    # order all the same, so with one TTL even eviction is exact
+    # fresh instant, claims of keys never seen before among them: claims are
+    # taken in time order all the same, so with one TTL even eviction is exact
     reg = NonceRegistry()
-    ref = ReferenceRegistry()
+    ref = ReferenceRegistry(reg)
     now = 10_000
-    for step, (dt, k, fresh_for, sweep) in enumerate(ops):
+    for step, (dt, k, fresh_for, unused) in enumerate(ops):
         now += dt
-        if sweep:
-            assert reg.sweep(now) == ref.sweep(now), f"step {step}"
-        else:
-            last_fresh = None if fresh_for is None else now + fresh_for
-            assert (reg.consume_once(f"k{k}", now, ttl, last_fresh)
-                    == ref.consume_once(f"k{k}", now, ttl, last_fresh)), \
-                f"step {step}"
+        key = f"unused{step}" if unused else f"k{k}"
+        last_fresh = None if fresh_for is None else now + fresh_for
+        assert (reg.consume_once(key, now, ttl, last_fresh)
+                == ref.consume_once(key, now, ttl, last_fresh)), f"step {step}"
         assert reg._records() == ref.entries, f"step {step}"
 
 
@@ -164,9 +158,8 @@ def test_one_ttl_matches_reference_for_any_time_order(ttl, ops):
 def test_keys_with_one_digest_act_as_one_key(monkeypatch):
     # a digest collision can only turn a first use into a replay: of any
     # keys sharing a digest, one claim wins per TTL
-    monkeypatch.setattr(registry_module, "key_digest",
-                        lambda key: b"\x5a" * 16)
     reg = NonceRegistry()
+    monkeypatch.setattr(reg, "key_digest", lambda key: b"\x5a" * 16)
     assert reg.consume_once("a", 0, 1_000) is True
     assert reg.consume_once("b", 1, 1_000) is False
     assert [reg.consume_once(k, 2, 1_000) for k in "abcd"] == [False] * 4
@@ -182,14 +175,39 @@ def test_digest_inside_another_record_is_not_a_hit(monkeypatch):
     y = x[4:] + (1_000).to_bytes(8, "big")[:4]
     assert (x + (1_000).to_bytes(8, "big")).find(y) == 4
     digests = {"x": x, "y": y}
-    monkeypatch.setattr(registry_module, "key_digest", digests.__getitem__)
     reg = NonceRegistry()
+    monkeypatch.setattr(reg, "key_digest", digests.__getitem__)
     assert reg.consume_once("x", 0, 1_000) is True
     assert reg.consume_once("y", 1, 1_000) is True
     # the misaligned match comes first; the record behind it is still found
     assert reg.consume_once("y", 2, 1_000) is False
     assert reg.consume_once("x", 2, 1_000) is False
     assert reg._records() == {x: 1_000, y: 1_001}
+
+
+def test_keys_aimed_at_one_bucket_of_the_unkeyed_digest_spread_out():
+    # an issuer picks its nonces, so at ~4,096 hashes per key it can aim them
+    # at one bucket of any digest it can compute; each claim would then scan
+    # that bucket.  The registry's digest is keyed with a secret of its own,
+    # so the aimed keys land in buckets at random
+    keys = []
+    i = 0
+    while len(keys) < 256:
+        key = f"nonce:{i:032x}"
+        digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
+        if digest[0] == 0 and digest[1] < 16:  # top 12 bits: bucket 0
+            keys.append(key)
+        i += 1
+    reg = NonceRegistry()
+    assert all(reg.consume_once(key, 0, 1_000) for key in keys)
+    fullest = max(len(bucket) for bucket in reg._buckets if bucket)
+    assert fullest // 24 <= 8
+
+
+def test_each_registry_keys_its_own_digest():
+    a, b = NonceRegistry(), NonceRegistry()
+    assert a.key_digest("nonce:k") == a.key_digest("nonce:k")
+    assert a.key_digest("nonce:k") != b.key_digest("nonce:k")
 
 
 def test_eviction_touches_only_what_expired():
@@ -200,7 +218,7 @@ def test_eviction_touches_only_what_expired():
     start = reg._ring_start
     # nothing has expired: only the claimed key's bucket changes
     assert reg.consume_once("new", 5_000, 10_000)
-    digest = key_digest("new")
+    digest = reg.key_digest("new")
     index = digest[0] << 4 | digest[1] >> 4
     for i, bucket in enumerate(reg._buckets):
         if i != index:
@@ -216,65 +234,63 @@ def test_eviction_touches_only_what_expired():
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# eviction on every claim
 # ---------------------------------------------------------------------------
 
-def test_sweep_empty_registry():
-    assert NonceRegistry().sweep(now=100) == 0
-
-
-def test_sweep_removes_all_expired():
+def test_claim_evicts_all_expired():
     reg = NonceRegistry()
     for k in ("a", "b", "c"):
         reg.consume_once(k, now=0, ttl_ms=5_000)
-    assert reg.sweep(now=6_000) == 3
-    assert len(reg) == 0
+    assert reg.consume_once("unused", now=6_000, ttl_ms=5_000)
+    assert set(reg._records()) == {reg.key_digest("unused")}
     assert reg.stats().evicted_total == 3
 
 
-def test_sweep_partial():
+def test_claim_evicts_only_expired():
     reg = NonceRegistry()
     reg.consume_once("old", now=0, ttl_ms=60_000)
     reg.consume_once("new", now=50_000, ttl_ms=60_000)
-    assert reg.sweep(now=61_000) == 1
-    assert len(reg) == 1
+    assert reg.consume_once("unused", now=61_000, ttl_ms=60_000)
+    assert expiry_of(reg, "old") is None and len(reg) == 2
     assert reg.consume_once("new", now=61_000, ttl_ms=60_000) is False
 
 
-def test_sweep_completeness():
-    # one TTL, non-decreasing time: after sweep(now), no entry has expiry <= now
+def test_eviction_completeness():
+    # one TTL, non-decreasing time: after a claim at now, no entry has
+    # expiry <= now
     reg = NonceRegistry()
     rng = random.Random(3)
     now = 0
     for i in range(500):
         now += rng.randrange(0, 40)
         reg.consume_once(f"k{i}", now=now, ttl_ms=2_000)
-    reg.sweep(now=now - 1_000)
-    assert all(exp > now - 1_000 for exp in reg._records().values())
+    assert all(exp > now for exp in reg._records().values())
     assert len(reg) < 500
 
 
-def test_reclaimed_entry_survives_sweep_past_its_old_expiry():
-    # expire, reclaim with later expiry, then sweep past the old expiry
+def test_reclaimed_entry_survives_eviction_past_its_old_expiry():
+    # expire, reclaim with later expiry, then evict past the old expiry
     reg = NonceRegistry()
     assert reg.consume_once("k", now=0, ttl_ms=1_000)
     assert reg.consume_once("k", now=1_000, ttl_ms=60_000)  # reclaim
-    reg.sweep(now=1_500)
+    assert reg.consume_once("unused", now=1_500, ttl_ms=60_000)
+    assert expiry_of(reg, "k") == 61_000
     assert reg.consume_once("k", now=2_000, ttl_ms=60_000) is False
 
 
-def test_sweep_stops_at_live_front_entry_expired_one_behind_stays_absent():
-    # mixed TTLs: the sweep stops at the first live entry in claim order
+def test_eviction_stops_at_live_front_entry_expired_one_behind_stays_absent():
+    # mixed TTLs: eviction stops at the first live entry in claim order
     reg = NonceRegistry()
     assert reg.consume_once("long", now=0, ttl_ms=10_000)
     assert reg.consume_once("short", now=0, ttl_ms=100)
-    assert reg.sweep(now=1_000) == 0
-    assert len(reg) == 2  # "short" is expired but still stored
+    assert reg.consume_once("unused", now=1_000, ttl_ms=10_000)
+    assert len(reg) == 3  # "short" is expired but still stored
+    assert expiry_of(reg, "short") == 100
     assert reg.consume_once("short", now=1_000, ttl_ms=100) is True
     assert reg.stats().evicted_total == 1
     assert reg.consume_once("short", now=1_050, ttl_ms=100) is False
-    assert reg.sweep(now=20_000) == 2
-    assert len(reg) == 0
+    assert reg.consume_once("last", now=20_000, ttl_ms=100)
+    assert set(reg._records()) == {reg.key_digest("last")}
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +313,13 @@ def test_stats_after_bulk_insert():
     assert stats.bytes_estimate == 100_000 * PER_ENTRY_BYTES
 
 
-def test_peak_never_decreases_across_sweep():
+def test_peak_never_decreases_across_eviction():
     reg = NonceRegistry()
     for i in range(10):
         reg.consume_once(f"k{i}", now=0, ttl_ms=1_000)
     before = reg.stats().peak_count
-    reg.sweep(now=5_000)
-    assert reg.stats().live_count == 0
+    reg.consume_once("unused", now=5_000, ttl_ms=1_000)
+    assert reg.stats().live_count == 1
     assert reg.stats().peak_count == before == 10
 
 
@@ -325,7 +341,7 @@ def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
     # mixed TTLs, non-decreasing time, eviction on every claim: every
     # decision and the set of unexpired keys equal the oracle's
     reg = NonceRegistry()
-    ref = ReferenceRegistry()
+    ref = ReferenceRegistry(reg)
     now = 0
     for step, (dt, k, ttl) in enumerate(ops):
         now += dt
@@ -337,21 +353,17 @@ def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
 
 
 @pytest.mark.parametrize("ttl", [1, 150, 700, 2_000])
-def test_one_ttl_matches_reference_sweeps_and_keys(ttl):
+def test_one_ttl_matches_reference_evictions_and_keys(ttl):
     rng = random.Random(20260815 + ttl)
     reg = NonceRegistry()
-    ref = ReferenceRegistry()
+    ref = ReferenceRegistry(reg)
     now = 0
     keys = [f"k{i}" for i in range(40)]
     for step in range(5_000):
         now += rng.randrange(0, 200)
-        if rng.random() < 0.85:
-            key = rng.choice(keys)
-            assert (reg.consume_once(key, now, ttl)
-                    == ref.consume_once(key, now, ttl)), f"step {step}"
-        else:
-            assert reg.sweep(now) == ref.sweep(now), f"step {step}"
-    assert reg.sweep(now) == ref.sweep(now)
+        key = rng.choice(keys) if rng.random() < 0.85 else f"unused{step}"
+        assert (reg.consume_once(key, now, ttl)
+                == ref.consume_once(key, now, ttl)), f"step {step}"
     assert reg._records() == ref.entries
     assert reg.stats().evicted_total > 0
 
@@ -403,7 +415,7 @@ def test_concurrent_out_of_order_claims_keep_claim_order_expiry_order():
     # threads claim at instants that go back and forth; each claim is taken
     # at the high-water time, so with one TTL the ring stays in expiry
     # order, which a lost update of that time would break.  Eviction stops
-    # at the first live ring entry, so out of order, some sweep below would
+    # at the first live ring entry, so out of order, some claim below would
     # leave an expired entry stored
     reg = NonceRegistry()
     old_interval = sys.getswitchinterval()
@@ -426,10 +438,11 @@ def test_concurrent_out_of_order_claims_keep_claim_order_expiry_order():
         sys.setswitchinterval(old_interval)
     expiries = sorted(reg._records().values())
     assert len(expiries) == len(reg) > 0
-    for instant in expiries:
-        reg.sweep(instant)
-        assert len(reg) == len(expiries) - bisect.bisect_right(expiries,
-                                                               instant)
+    # the stored expiries span at most one TTL, so every probe stays live
+    for probes, instant in enumerate(expiries, 1):
+        reg.consume_once(f"probe{probes}", instant, 1_000)
+        assert len(reg) == (len(expiries) + probes
+                            - bisect.bisect_right(expiries, instant))
 
 
 def test_concurrent_mixed_keys_all_single_winner():
@@ -482,16 +495,12 @@ def test_per_entry_bytes_matches_traced_memory_at_churn():
 
 
 def test_memory_bound_under_sustained_insertion():
-    # live_count <= rate x min(ttl, duration) x 1.05 given frequent sweeps
+    # live_count <= rate x min(ttl, duration) x 1.05: every claim evicts
     rate, duration_s, ttl_s = 1_000, 10, 5
     reg = NonceRegistry()
     peak_seen = 0
-    next_sweep = 100
     for i in range(rate * duration_s):
         now = int(i * 1000 / rate)
-        while now >= next_sweep:
-            reg.sweep(next_sweep)
-            next_sweep += 100
         reg.consume_once(f"n{i}", now, ttl_s * 1000)
         peak_seen = max(peak_seen, reg.stats().live_count)
     bound = rate * min(ttl_s, duration_s) * 1.05

@@ -20,7 +20,7 @@ from ztrv import (
     ttl_sweep,
     verify_signature,
 )
-from ztrv import simharness
+from ztrv import mandate, simharness
 from ztrv.registry import PER_ENTRY_BYTES
 from ztrv.simharness import (
     MERCHANT_POOL,
@@ -288,6 +288,19 @@ def test_ttl_sweep_matches_reference_registry():
         assert point.bytes_estimate == peak * PER_ENTRY_BYTES
 
 
+def test_ttl_sweep_checks_each_signature_once(monkeypatch):
+    calls = []
+    verify = mandate.ENGINE.verify
+
+    def counting_verify(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(mandate.ENGINE, "verify", counting_verify)
+    ttl_sweep([2, 5, 20], rate=100, duration=10, seed=13)
+    assert len(calls) == 1_000  # one per request, not one per window
+
+
 def test_ttl_sweep_plateau_at_duration():
     points = ttl_sweep([15, 20], rate=50, duration=10, seed=14)
     assert points[0].peak_entries == points[1].peak_entries == 500
@@ -318,9 +331,17 @@ def test_throughput_bench_paced_point():
     assert 0 < point.achieved_rate <= 800  # pacing keeps it near offered
 
 
-def test_throughput_bench_rejects_bad_rate():
+def test_throughput_bench_rejects_bad_rate(monkeypatch):
     with pytest.raises(ValueError):
         throughput_bench([0], duration=1)
+    # every rate is validated before any point runs
+    ran = []
+    monkeypatch.setattr(simharness, "_bench_point",
+                        lambda offered_rate, *args, **kwargs:
+                        ran.append(offered_rate))
+    with pytest.raises(ValueError):
+        throughput_bench([100, 0], duration=1)
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------

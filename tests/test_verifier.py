@@ -20,7 +20,7 @@ from ztrv import (
     VerifierConfig,
     verify,
 )
-from ztrv.registry import MAX_TTL_MS, key_digest
+from ztrv.registry import MAX_TTL_MS
 from ztrv.verifier import Decision
 
 from conftest import T0
@@ -123,7 +123,8 @@ def test_claim_overtaken_by_a_later_sweep_is_expired(make_request, keystore,
     b_at = last_fresh + 2
     assert verify(make_request(now=b_at), b_at, config, registry,
                   keystore).accepted
-    assert key_digest("nonce:" + a.mandate.nonce) not in registry._records()
+    assert (registry.key_digest("nonce:" + a.mandate.nonce)
+            not in registry._records())
     replay = verify(a, last_fresh, config, registry, keystore)
     assert replay.reason is Reason.MANDATE_EXPIRED
 
