@@ -37,60 +37,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
+def _number(kind: type, low=0, high=math.inf, must="be positive"):
+    """An argparse type: a finite ``kind`` (int or float), low < it < high."""
+    noun = "an integer" if kind is int else "a number"
 
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("value must be finite")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text.strip()!r} is not {noun}") from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("value must be finite")
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"value must {must}")
+        return value
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value = float(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{part!r} is not a number") from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError("values must be finite")
-        if value <= 0:
-            raise argparse.ArgumentTypeError("values must be positive")
-        values.append(value)
+    parse = _number(float)
+    values = [parse(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list")
     return values
 
 
-def _ensure_out_dir(path_text: str) -> Path:
+def _ensure_out_dir(path_text: str) -> None:
     path = Path(path_text)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -98,7 +71,6 @@ def _ensure_out_dir(path_text: str) -> Path:
         raise UsageError(f"--out {path_text}: {exc}") from exc
     if not os.access(path, os.W_OK):
         raise UsageError(f"--out {path_text} is not writable")
-    return path
 
 
 def _check_replays(args) -> None:
@@ -107,6 +79,24 @@ def _check_replays(args) -> None:
     if args.replays > args.n:
         raise UsageError(f"--replays ({args.replays}) must not exceed "
                          f"--n ({args.n})")
+
+
+def _write_report(args, experiment: str, items_key: str, items: list,
+                  **fields) -> int:
+    """Write ``items`` as ``experiment``'s CSV and JSON reports under --out.
+
+    The CSV has a row per item; the JSON object holds the experiment's name,
+    --seed, ``fields`` and the items under ``items_key``.  Returns the
+    command's exit code, 0.
+    """
+    from .simharness import report_basename, write_report_files
+    csv_path, json_path = write_report_files(
+        args.out, report_basename(experiment, args.fixed_name),
+        items[0].CSV_FIELDS, [item.csv_row() for item in items],
+        {"experiment": experiment, "seed": args.seed, **fields,
+         items_key: [asdict(item) for item in items]})
+    print(f"wrote {csv_path} and {json_path}")
+    return 0
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -148,9 +138,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_attack_eval(args) -> int:
-    from .simharness import attack_eval, report_basename, write_report_files
+    from .simharness import attack_eval
     _check_replays(args)
-    out_dir = _ensure_out_dir(args.out)
+    _ensure_out_dir(args.out)
     mode = Mode(args.mode)
     reports = attack_eval(mode, n=args.n, seed=args.seed,
                           replay_count=args.replays,
@@ -163,22 +153,14 @@ def cmd_attack_eval(args) -> int:
     print(f"mode={mode.value}  n={args.n}  seed={args.seed}")
     _print_table(["scenario", "interception", "intercepted/launched",
                   "legit sent", "false positives"], rows)
-
-    basename = report_basename("attack_eval", args.fixed_name)
-    csv_path, json_path = write_report_files(
-        out_dir, basename, reports[0].CSV_FIELDS,
-        [r.csv_row() for r in reports],
-        {"experiment": "attack_eval", "mode": mode.value, "n": args.n,
-         "seed": args.seed, "reports": [r.to_json_dict() for r in reports]})
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(args, "attack_eval", "reports", reports,
+                         mode=mode.value, n=args.n)
 
 
 def cmd_ablation(args) -> int:
-    from .simharness import (AttackKind, ablation_run, interception_matrix,
-                             report_basename, write_report_files)
+    from .simharness import AttackKind, ablation_run, interception_matrix
     _check_replays(args)
-    out_dir = _ensure_out_dir(args.out)
+    _ensure_out_dir(args.out)
     reports = ablation_run(n=args.n, seed=args.seed,
                            replay_count=args.replays,
                            concurrency=args.concurrency)
@@ -188,24 +170,16 @@ def cmd_ablation(args) -> int:
             for mode in matrix]
     print(f"interception rate by (mode, scenario), seed={args.seed}")
     _print_table(["mode"] + scenarios, rows)
-
-    basename = report_basename("ablation", args.fixed_name)
-    csv_path, json_path = write_report_files(
-        out_dir, basename, reports[0].CSV_FIELDS,
-        [r.csv_row() for r in reports],
-        {"experiment": "ablation", "seed": args.seed, "matrix": matrix,
-         "reports": [r.to_json_dict() for r in reports]})
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(args, "ablation", "reports", reports, matrix=matrix)
 
 
 def cmd_ttl_sweep(args) -> int:
-    from .simharness import report_basename, ttl_sweep, write_report_files
+    from .simharness import ttl_sweep
     # the workload holds round(rate x duration) requests, as simharness counts
     if round(args.rate * args.duration) < 1:
         raise UsageError("--rate x --duration must round to at least one "
                          "request")
-    out_dir = _ensure_out_dir(args.out)
+    _ensure_out_dir(args.out)
     points = ttl_sweep(args.windows, rate=args.rate, duration=args.duration,
                        seed=args.seed)
     rows = []
@@ -216,22 +190,13 @@ def cmd_ttl_sweep(args) -> int:
     print(f"rate={args.rate:g}/s  duration={args.duration:g}s  seed={args.seed}")
     _print_table(["window (s)", "peak entries", "expected", "est. memory"],
                  rows)
-
-    basename = report_basename("ttl_sweep", args.fixed_name)
-    csv_path, json_path = write_report_files(
-        out_dir, basename, points[0].CSV_FIELDS,
-        [p.csv_row() for p in points],
-        {"experiment": "ttl_sweep", "rate": args.rate,
-         "duration": args.duration, "seed": args.seed,
-         "points": [asdict(p) for p in points]})
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(args, "ttl_sweep", "points", points,
+                         rate=args.rate, duration=args.duration)
 
 
 def cmd_throughput(args) -> int:
-    from .simharness import (capacity_probe, report_basename,
-                             throughput_bench, write_report_files)
-    out_dir = _ensure_out_dir(args.out)
+    from .simharness import capacity_probe, throughput_bench
+    _ensure_out_dir(args.out)
     points = [capacity_probe(concurrency=args.concurrency, seed=args.seed)]
     points += throughput_bench(args.rates, duration=args.duration,
                                concurrency=args.concurrency, seed=args.seed)
@@ -253,26 +218,17 @@ def cmd_throughput(args) -> int:
           f"(latencies in microseconds; measured, host-dependent)")
     _print_table(["offered/s", "achieved/s", "sig p50", "ctx p50", "reg p50",
                   "total p50", "total p99"], rows)
-
-    basename = report_basename("throughput", args.fixed_name)
-    csv_path, json_path = write_report_files(
-        out_dir, basename, points[0].CSV_FIELDS,
-        [p.csv_row() for p in points],
-        {"experiment": "throughput", "rates": args.rates,
-         "duration": args.duration, "concurrency": args.concurrency,
-         "seed": args.seed,
-         "points": [p.to_json_dict() for p in points]})
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(args, "throughput", "points", points,
+                         rates=args.rates, duration=args.duration,
+                         concurrency=args.concurrency)
 
 
 def cmd_keygen(args) -> int:
     out_path = Path(args.out)
-    if out_path.parent and not out_path.parent.exists():
-        try:
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"--out {args.out}: {exc}") from exc
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc}") from exc
     key = IssuerKey.generate(args.key_id)
     Keystore.for_issuers(key).save(out_path)
     secret_path = out_path.with_name(out_path.name + ".secret")
@@ -291,10 +247,26 @@ def cmd_keygen(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common_experiment_flags(p, default_out="reports"):
-    p.add_argument("--seed", type=_u64, default=42,
-                   help="workload seed (default %(default)s)")
-    p.add_argument("--out", default=default_out,
+def _add_attack_flags(p, n: int, n_help: str) -> None:
+    p.add_argument("--n", type=_number(int), default=n,
+                   help=f"{n_help} (default %(default)s)")
+    p.add_argument("--replays", type=_number(int), default=100,
+                   help="attack requests per scenario (default %(default)s)")
+
+
+def _add_duration_flag(p, help_text: str) -> None:
+    p.add_argument("--duration", type=_number(float), default=10.0,
+                   help=f"{help_text} (default %(default)s)")
+
+
+def _add_common_experiment_flags(p, concurrency: bool = True) -> None:
+    if concurrency:
+        p.add_argument("--concurrency", type=_number(int),
+                       default=DEFAULT_CONCURRENCY,
+                       help="worker threads (default %(default)s)")
+    p.add_argument("--seed", type=_number(int, -1, 2 ** 64, "fit in 64 bits"),
+                   default=42, help="workload seed (default %(default)s)")
+    p.add_argument("--out", default="reports",
                    help="report output directory (default %(default)s)")
     p.add_argument("--fixed-name", action="store_true",
                    help="name report files <experiment>_report.* instead of "
@@ -318,25 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[Mode.BASELINE.value, Mode.FULL.value],
                    default=Mode.FULL.value,
                    help="verifier mode (default %(default)s)")
-    p.add_argument("--n", type=_positive_int, default=5000,
-                   help="legitimate requests (default %(default)s)")
-    p.add_argument("--replays", type=_positive_int, default=100,
-                   help="attack requests per scenario (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int,
-                   default=DEFAULT_CONCURRENCY,
-                   help="worker threads (default %(default)s)")
+    _add_attack_flags(p, 5000, "legitimate requests")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_attack_eval)
 
     p = sub.add_parser("ablation",
                        help="interception matrix over all four verifier modes")
-    p.add_argument("--n", type=_positive_int, default=1000,
-                   help="legitimate requests per run (default %(default)s)")
-    p.add_argument("--replays", type=_positive_int, default=100,
-                   help="attack requests per scenario (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int,
-                   default=DEFAULT_CONCURRENCY,
-                   help="worker threads (default %(default)s)")
+    _add_attack_flags(p, 1000, "legitimate requests per run")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_ablation)
 
@@ -346,11 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=_float_list, default=[5, 30, 60, 300],
                    help="comma-separated window sizes in seconds "
                         "(default 5,30,60,300)")
-    p.add_argument("--rate", type=_positive_float, default=10_000.0,
+    p.add_argument("--rate", type=_number(float), default=10_000.0,
                    help="requests per second (default %(default)s)")
-    p.add_argument("--duration", type=_positive_float, default=10.0,
-                   help="workload duration in seconds (default %(default)s)")
-    _add_common_experiment_flags(p)
+    _add_duration_flag(p, "workload duration in seconds")
+    _add_common_experiment_flags(p, concurrency=False)
     p.set_defaults(func=cmd_ttl_sweep)
 
     p = sub.add_parser("throughput",
@@ -360,11 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[100, 1000, 5000, 10_000],
                    help="comma-separated offered rates per second "
                         "(default 100,1000,5000,10000)")
-    p.add_argument("--duration", type=_positive_float, default=10.0,
-                   help="seconds per offered rate (default %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int,
-                   default=DEFAULT_CONCURRENCY,
-                   help="worker threads (default %(default)s)")
+    _add_duration_flag(p, "seconds per offered rate")
     _add_common_experiment_flags(p)
     p.set_defaults(func=cmd_throughput)
 

@@ -31,17 +31,19 @@ import socket
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http import HTTPStatus
 
 from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
-from .verifier import Decision, Outcome, Reason, VerifierConfig, verify
+from .verifier import Decision, VerifierConfig, verify
 
 log = logging.getLogger("ztrv.gateway")
 
 DEFAULT_BODY_LIMIT = 64 * 1024
 UPSTREAM_TIMEOUT_S = 10.0
+# the longest upstream answer body relayed; a longer one is unreadable
+ANSWER_LIMIT = 1 << 20
 # handler threads kept waiting in accept(); more start while connections
 # hold these, so every open connection is served at once
 HANDLER_THREADS = 16
@@ -59,11 +61,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GatewayConfig:
+    """Gateway settings, checked on construction; ConfigError names the
+    offending field."""
+
     listen_address: str
     upstream_url: str
     keystore_path: str
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
     request_body_limit: int = DEFAULT_BODY_LIMIT
+
+    def __post_init__(self):
+        for key in ("listen_address", "upstream_url", "keystore_path"):
+            value = getattr(self, key)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{key} must be a non-empty string")
+        parse_listen_address(self.listen_address)
+        parse_upstream_url(self.upstream_url)
+        limit = self.request_body_limit
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
+            raise ConfigError("request_body_limit must be a positive integer")
 
 
 def parse_listen_address(address: str) -> tuple[str, int]:
@@ -120,13 +136,6 @@ _CONFIG_KEYS = frozenset({
 })
 
 
-def _config_str(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{key} must be a non-empty string")
-    return value
-
-
 def _config_number(obj: dict, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -152,18 +161,6 @@ def load_config(path) -> GatewayConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    listen_address = _config_str(obj, "listen_address")
-    parse_listen_address(listen_address)
-
-    upstream_url = _config_str(obj, "upstream_url")
-    parse_upstream_url(upstream_url)
-
-    keystore_path = _config_str(obj, "keystore_path")
-
-    limit = obj.get("request_body_limit", DEFAULT_BODY_LIMIT)
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
-        raise ConfigError("request_body_limit must be a positive integer")
-
     # a key left out keeps VerifierConfig's default; the mode is always FULL
     try:
         verifier_config = VerifierConfig(**{
@@ -173,11 +170,11 @@ def load_config(path) -> GatewayConfig:
         raise ConfigError(str(exc)) from exc
 
     return GatewayConfig(
-        listen_address=listen_address,
-        upstream_url=upstream_url,
-        keystore_path=keystore_path,
+        listen_address=obj.get("listen_address"),
+        upstream_url=obj.get("upstream_url"),
+        keystore_path=obj.get("keystore_path"),
         verifier=verifier_config,
-        request_body_limit=limit,
+        request_body_limit=obj.get("request_body_limit", DEFAULT_BODY_LIMIT),
     )
 
 
@@ -213,11 +210,6 @@ _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _TEXT_PLAIN = {"Content-Type": "text/plain"}
 # (status, body, headers) of a request no route serves
 _NOT_FOUND = (404, json.dumps({"error": "not found"}).encode("utf-8"), {})
-# of a request head that cannot be read: the decision stage 1 gives an
-# unreadable body
-_MALFORMED = (403, json.dumps({"outcome": Outcome.REJECT.value,
-                               "reason": Reason.MALFORMED_REQUEST.value,
-                               "mandate_id": ""}).encode("utf-8"), {})
 
 
 class _WallClock:
@@ -318,6 +310,22 @@ def _receive(conn: socket.socket, buffer: bytearray, recv_buffer: memoryview,
     return count
 
 
+def _read_exactly(conn: socket.socket, buffer: bytearray,
+                  recv_buffer: memoryview, length: int,
+                  deadline: float) -> bytes | None:
+    """The first ``length`` bytes of ``buffer``, read from ``conn`` as
+    needed and taken from ``buffer``; None if ``conn`` ends first.
+
+    Raises TimeoutError once ``deadline`` (monotonic) has passed.
+    """
+    while len(buffer) < length:
+        if not _receive(conn, buffer, recv_buffer, deadline):
+            return None
+    body = bytes(buffer[:length])
+    del buffer[:length]
+    return body
+
+
 def _read_head(conn: socket.socket, buffer: bytearray,
                recv_buffer: memoryview, deadline: float) -> bytearray | None:
     """The message head at the front of ``buffer``, read from ``conn`` as
@@ -380,14 +388,14 @@ class _HttpService:
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def route(self, method: str, path: str, fields: dict[str, str],
+    def route(self, method: str | None, path: str | None,
               body: bytes | None) -> tuple[int, bytes, dict]:
         """``(status, body, headers)`` answering one GET or POST request.
 
-        ``fields`` are the request's header fields by lower-cased name.
-        ``body`` is None when it could not be read; the connection is
-        closed after the answer.  The answer's Content-Type is JSON unless
-        ``headers`` names another.
+        ``body`` is None when it could not be read, and all three are None
+        for a request whose head cannot be read; either way the connection
+        is closed after the answer.  The answer's Content-Type is JSON
+        unless ``headers`` names another.
         """
         raise NotImplementedError
 
@@ -457,8 +465,8 @@ class _HttpService:
         Each request has READ_TIMEOUT_S from the wait for its first byte to
         the end of its body.  A head not read by then, or cut off by the
         client, closes the connection unanswered; a head that cannot be read
-        gets the 403 in _MALFORMED and the connection is closed.  Bytes read
-        past a request's body start the next request.
+        is answered by ``route(None, None, None)`` and the connection is
+        closed.  Bytes read past a request's body start the next request.
         """
         buffer = bytearray()
         while True:
@@ -472,7 +480,7 @@ class _HttpService:
             else:
                 request = _parse_head(head, _REQUEST_LINE)
             if request is None:
-                status, payload, headers = _MALFORMED
+                status, payload, headers = self.route(None, None, None)
                 keep_alive = False
             else:
                 start, fields = request
@@ -494,8 +502,7 @@ class _HttpService:
                         # rejected without parsing; drop the connection
                         # rather than draining the stream
                         keep_alive = False
-                    status, payload, headers = self.route(method, path,
-                                                          fields, body)
+                    status, payload, headers = self.route(method, path, body)
                 else:
                     # closed after the answer: its body is not read, and
                     # a HEAD request would not expect the answer's body
@@ -528,14 +535,9 @@ class _HttpService:
                 and fields.get("expect", "").lower() == "100-continue"):
             conn.sendall(_CONTINUE)
         try:
-            while len(buffer) < length:
-                if not _receive(conn, buffer, recv_buffer, deadline):
-                    return None
+            return _read_exactly(conn, buffer, recv_buffer, length, deadline)
         except OSError:
             return None
-        body = bytes(buffer[:length])
-        del buffer[:length]
-        return body
 
     def _respond(self, conn: socket.socket, status: int, body: bytes,
                  headers: dict, keep_alive: bool) -> None:
@@ -594,8 +596,8 @@ def _read_answer(conn: socket.socket, deadline: float,
     its body ends after its one Content-Length, or where ``conn`` ends.
     None means the answer cannot be read: a status line other than
     ``HTTP/1.x`` and a final status, a head _parse_head or _framed_length
-    cannot read, or a body shorter than its length.  Raises TimeoutError
-    once ``deadline`` has passed.
+    cannot read, a body shorter than its length, or one longer than
+    ANSWER_LIMIT.  Raises TimeoutError once ``deadline`` has passed.
     """
     buffer = bytearray()
     recv_buffer = memoryview(bytearray(RECV_SIZE))
@@ -608,17 +610,15 @@ def _read_answer(conn: socket.socket, deadline: float,
         return None
     status, fields = answer
     length = _framed_length(fields)
-    if length is None:
+    if length is None or length > ANSWER_LIMIT:
         return None
-    if length < 0:
-        while _receive(conn, buffer, recv_buffer, deadline):
-            pass
-    else:
-        while len(buffer) < length:
+    if length < 0:  # the body ends where conn does
+        while len(buffer) <= ANSWER_LIMIT:
             if not _receive(conn, buffer, recv_buffer, deadline):
-                return None
-        del buffer[length:]
-    return int(status[1]), bytes(buffer)
+                return int(status[1]), bytes(buffer)
+        return None  # longer than ANSWER_LIMIT
+    body = _read_exactly(conn, buffer, recv_buffer, length, deadline)
+    return None if body is None else (int(status[1]), body)
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +652,16 @@ class ZtrvGateway(_HttpService):
         host, port = parse_listen_address(config.listen_address)
         super().__init__(host, port, config.request_body_limit)
 
-    def route(self, method: str, path: str, fields: dict[str, str],
+    def route(self, method: str | None, path: str | None,
               body: bytes | None) -> tuple[int, bytes, dict]:
-        if method == "POST":
-            if path == "/execute":
-                return self.handle_execute(body)
-        elif path == "/healthz":
+        # an unreadable head reaches the verifier like an unreadable body
+        if method is None or (method == "POST" and path == "/execute"):
+            return self.handle_execute(body)
+        if method == "GET" and path == "/healthz":
             return 200, b"ok", _TEXT_PLAIN
-        elif path == "/stats":
-            stats = self.registry.stats()
-            return 200, json.dumps({
-                "live_count": stats.live_count,
-                "peak_count": stats.peak_count,
-                "evicted_total": stats.evicted_total,
-                "bytes_estimate": stats.bytes_estimate,
-            }).encode("utf-8"), {}
+        if method == "GET" and path == "/stats":
+            stats = asdict(self.registry.stats())
+            return 200, json.dumps(stats).encode("utf-8"), {}
         return _NOT_FOUND
 
     def handle_execute(self, body: bytes | None) -> tuple[int, bytes, dict]:
@@ -771,7 +766,7 @@ class MockMerchant(_HttpService):
         self.clock = _WallClock()
         super().__init__(host, port, DEFAULT_BODY_LIMIT)
 
-    def route(self, method: str, path: str, fields: dict[str, str],
+    def route(self, method: str | None, path: str | None,
               body: bytes | None) -> tuple[int, bytes, dict]:
         if method == "POST":
             mandate_id = ""

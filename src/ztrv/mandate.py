@@ -19,9 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from ._ed25519 import ENGINE, PUBLIC_KEY_LEN, SEED_LEN, SIGNATURE_LEN
 
-HEX_ID_LEN = 32      # 128-bit identifiers, lowercase hex
-HEX_DIGEST_LEN = 64  # SHA-256, lowercase hex
-DEFAULT_CONTEXT_FIELDS = ("task_id", "agent_id", "merchant_id", "scope")
+CONTEXT_FIELDS = ("task_id", "agent_id", "merchant_id", "scope")
 
 _HEX_ID_RE = re.compile(r"[0-9a-f]{32}")
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
@@ -88,7 +86,7 @@ def _frame(values: Iterable[str]) -> bytes:
 
 def hash_context_fields(context: ExecutionContext) -> str:
     """SHA-256 over the framed concatenation of the four context fields, in
-    the order of DEFAULT_CONTEXT_FIELDS."""
+    the order of CONTEXT_FIELDS."""
     return ENGINE.sha256(_frame((context.task_id, context.agent_id,
                                  context.merchant_id, context.scope))).hex()
 
@@ -135,7 +133,7 @@ def _encodable(value: str) -> bool:
 
 
 def context_problem(context: ExecutionContext) -> str | None:
-    for name in DEFAULT_CONTEXT_FIELDS:
+    for name in CONTEXT_FIELDS:
         value = getattr(context, name, None)
         if not isinstance(value, str) or not value:
             return f"context.{name} must be a non-empty string"
@@ -302,7 +300,7 @@ _MANDATE_KEYS = frozenset(
     {"mandate_id", "nonce", "issued_at", "context_hash", "payload",
      "key_id", "signature"})
 _PAYLOAD_KEYS = frozenset({"amount", "currency"})
-_CONTEXT_KEYS = frozenset(DEFAULT_CONTEXT_FIELDS)
+_CONTEXT_KEYS = frozenset(CONTEXT_FIELDS)
 _REQUEST_KEYS = frozenset({"mandate", "context"})
 
 

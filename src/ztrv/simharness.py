@@ -8,7 +8,8 @@ exception; they are reported but never part of the deterministic surface.
 
 Experiments drive the verifier in process, without HTTP, so the numbers
 isolate verification cost.  The HTTP path is exercised by the gateway's
-own tests.
+own tests.  Each experiment takes its workload size, seed, rate and
+duration from the caller; the command line (ztrv.cli) holds the defaults.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class AttackKind(Enum):
 @dataclass(frozen=True)
 class AttackScenario:
     kind: AttackKind
-    replay_count: int = 100
+    replay_count: int
     seed: int = 1
 
     def __post_init__(self):
@@ -265,8 +266,7 @@ def _verify_waves(waves: list[list[list[TimedRequest]]],
 
 
 def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
-                   rate: float = 100.0, duration: float = ATTACK_DURATION_S,
-                   seed: int = 42,
+                   rate: float, duration: float, seed: int,
                    concurrency: int = DEFAULT_CONCURRENCY) -> SimReport:
     """Drive a mixed legitimate+attack stream through an in-process verifier.
 
@@ -325,8 +325,7 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
     )
 
 
-def attack_eval(mode: Mode, *, n: int = 5000,
-                seed: int = 42, replay_count: int = 100,
+def attack_eval(mode: Mode, *, n: int, seed: int, replay_count: int,
                 concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
     """One experiment per attack scenario against an n-request legit stream."""
     reports = []
@@ -339,7 +338,7 @@ def attack_eval(mode: Mode, *, n: int = 5000,
     return reports
 
 
-def ablation_run(*, n: int = 1000, seed: int = 42, replay_count: int = 100,
+def ablation_run(*, n: int, seed: int, replay_count: int,
                  concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
     """Every (mode, scenario) pair; the interception matrix behind the reports."""
     reports = []
@@ -373,8 +372,8 @@ class TtlSweepPoint:
         return [f"{self.window:g}", self.peak_entries, self.bytes_estimate]
 
 
-def ttl_sweep(windows: list[float], rate: float = 10_000.0,
-              duration: float = 10.0, *, seed: int = 42) -> list[TtlSweepPoint]:
+def ttl_sweep(windows: list[float], rate: float, duration: float, *,
+              seed: int) -> list[TtlSweepPoint]:
     """Peak registry occupancy as a function of the validity window.
 
     One legit-only workload is generated, and each request checked, once;
@@ -458,15 +457,15 @@ def _bench_point(offered_rate: float, rate: float, duration: float,
 
 
 def capacity_probe(n: int = 30_000, concurrency: int = DEFAULT_CONCURRENCY, *,
-                   seed: int = 42) -> ThroughputPoint:
+                   seed: int) -> ThroughputPoint:
     """Unpaced burst: how fast can the pipeline actually go on this host."""
     return _bench_point(0.0, PROBE_RATE, n / PROBE_RATE, concurrency, seed,
                         pace_s=None, batch_size=64)
 
 
-def throughput_bench(rates: list[float], duration: float = 10.0,
+def throughput_bench(rates: list[float], duration: float,
                      concurrency: int = DEFAULT_CONCURRENCY, *,
-                     seed: int = 42) -> list[ThroughputPoint]:
+                     seed: int) -> list[ThroughputPoint]:
     """Paced offered-load runs; reports measured, host-dependent numbers.
 
     A rate the host cannot sustain shows up as achieved < offered, never as

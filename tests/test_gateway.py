@@ -167,6 +167,25 @@ def test_load_config_rejects_bad_values(tmp_path):
                 load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("request_body_limit", 0),
+    ("request_body_limit", -5),
+    ("request_body_limit", True),
+    ("request_body_limit", 1.5),
+    ("keystore_path", None),
+    ("keystore_path", ""),
+    ("listen_address", "nocolon"),
+    ("upstream_url", "ftp://nope"),
+])
+def test_gateway_config_validates_on_construction(key, value):
+    # the same checks as load_config, for a config built in Python
+    fields = {"listen_address": "127.0.0.1:0",
+              "upstream_url": "http://127.0.0.1:9/x",
+              "keystore_path": "ks.json", key: value}
+    with pytest.raises(ConfigError, match=key):
+        GatewayConfig(**fields)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -474,16 +493,18 @@ def _gateway_to(upstream_url: str, keystore) -> ZtrvGateway:
                        keystore=keystore)
 
 
-def _assert_502_and_nonce_burnt(gw, request):
+def _assert_502_and_nonce_burnt(gw, request) -> str:
+    """Post ``request``, expecting a 502; return its error."""
     status, body, headers = _post_request(gw.base_url, request)
     assert status == 502
     assert headers.get("X-ZTRV-Decision") == "ACCEPT"
-    decision = json.loads(body)["decision"]
-    assert decision["outcome"] == "ACCEPT"
-    assert decision["mandate_id"] == request.mandate.mandate_id
+    answer = json.loads(body)
+    assert answer["decision"]["outcome"] == "ACCEPT"
+    assert answer["decision"]["mandate_id"] == request.mandate.mandate_id
     status, body, _ = _post_request(gw.base_url, request)
     assert status == 403
     assert json.loads(body)["reason"] == "ReplayDetected"
+    return answer["error"]
 
 
 @pytest.mark.parametrize("answer", [
@@ -522,6 +543,27 @@ def test_unreadable_upstream_answer_yields_502_and_burns_nonce(
         keystore, make_request, fake_upstream, answer):
     with _gateway_to(fake_upstream(answer).url, keystore) as gw:
         _assert_502_and_nonce_burnt(gw, make_request(now=gw.clock.now_ms()))
+
+
+@pytest.mark.parametrize("make_head", [
+    lambda size: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % size,
+    # no Content-Length: the body ends where the connection does
+    lambda size: b"HTTP/1.0 200 OK\r\n\r\n",
+], ids=["content-length", "until-close"])
+def test_upstream_answer_over_the_limit_yields_502(keystore, make_request,
+                                                   fake_upstream, monkeypatch,
+                                                   make_head):
+    monkeypatch.setattr(gateway_module, "ANSWER_LIMIT", 64)
+    upstream = fake_upstream(make_head(64) + b"x" * 64)
+    with _gateway_to(upstream.url, keystore) as gw:
+        status, body, _ = _post_request(gw.base_url,
+                                        make_request(now=gw.clock.now_ms()))
+    assert (status, body) == (200, b"x" * 64)
+    upstream = fake_upstream(make_head(65) + b"x" * 65)
+    with _gateway_to(upstream.url, keystore) as gw:
+        error = _assert_502_and_nonce_burnt(
+            gw, make_request(now=gw.clock.now_ms()))
+    assert error == "upstream answer unreadable"
 
 
 def test_upstream_deadline_covers_the_whole_answer(keystore, make_request,

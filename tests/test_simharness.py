@@ -189,7 +189,8 @@ def test_inject_attack_validates(victims):
         inject_attack(AttackScenario(kind=AttackKind.CONTEXT_REDIRECT,
                                      replay_count=999), victims)
     with pytest.raises(ValueError):
-        inject_attack(AttackScenario(kind=AttackKind.CONTEXT_REDIRECT), [])
+        inject_attack(AttackScenario(kind=AttackKind.CONTEXT_REDIRECT,
+                                     replay_count=1), [])
     with pytest.raises(ValueError):
         AttackScenario(kind=AttackKind.CONTEXT_REDIRECT, replay_count=0)
 
@@ -333,14 +334,14 @@ def test_throughput_bench_paced_point():
 
 def test_throughput_bench_rejects_bad_rate(monkeypatch):
     with pytest.raises(ValueError):
-        throughput_bench([0], duration=1)
+        throughput_bench([0], duration=1, seed=16)
     # every rate is validated before any point runs
     ran = []
     monkeypatch.setattr(simharness, "_bench_point",
                         lambda offered_rate, *args, **kwargs:
                         ran.append(offered_rate))
     with pytest.raises(ValueError):
-        throughput_bench([100, 0], duration=1)
+        throughput_bench([100, 0], duration=1, seed=16)
     assert ran == []
 
 

@@ -51,6 +51,25 @@ def test_second_submission_is_replay(make_request, keystore):
     assert second.reason is Reason.REPLAY_DETECTED
 
 
+@pytest.mark.parametrize("first, second", [("a", "a-alias"),
+                                           ("a-alias", "a")])
+def test_key_id_alias_replay_detected(make_request, issuer, first, second):
+    # key_id is not signed, and one public key under two ids verifies under
+    # either: consume-once must never be scoped by key_id
+    keystore = Keystore({"a": issuer.public_key,
+                         "a-alias": issuer.public_key})
+    request = make_request()
+
+    def naming(key_id):
+        mandate = dataclasses.replace(request.mandate, key_id=key_id)
+        return VerificationRequest(mandate, request.context)
+
+    registry = fresh_registry()
+    assert verify(naming(first), T0 + 1, FULL, registry, keystore).accepted
+    replay = verify(naming(second), T0 + 2, FULL, registry, keystore)
+    assert replay.reason is Reason.REPLAY_DETECTED
+
+
 def test_stale_mandate_expired(make_request, keystore):
     request = make_request(now=T0)
     decision = verify(request, T0 + 61_000, FULL, fresh_registry(), keystore)
