@@ -4,13 +4,17 @@ A small-scale version of the attack-eval experiment: 500 legitimate
 requests, 50 attack requests per scenario, fixed seed.
 """
 
+from itertools import groupby
+
 from ztrv import Mode, attack_eval
 
 
 def main() -> None:
-    for mode in (Mode.FULL, Mode.BASELINE):
-        print(f"mode={mode.value}")
-        for report in attack_eval(mode, n=500, replay_count=50, seed=7):
+    reports = attack_eval([Mode.FULL, Mode.BASELINE], n=500, replay_count=50,
+                          seed=7)
+    for mode, mode_reports in groupby(reports, key=lambda r: r.mode):
+        print(f"mode={mode}")
+        for report in mode_reports:
             print(f"  {report.scenario:<22} interception "
                   f"{report.interception_rate * 100:6.2f}%  "
                   f"({report.attacks_intercepted}/{report.attacks_launched} "

@@ -28,7 +28,6 @@ from .verifier import (
     Mode,
     Outcome,
     Reason,
-    StageTimings,
     VerifierConfig,
     verify,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Reason",
     "RegistryStats",
     "SimReport",
-    "StageTimings",
     "ThroughputPoint",
     "TimedRequest",
     "TtlSweepPoint",
@@ -73,7 +71,6 @@ __all__ = [
     "VerifierConfig",
     "WireFormatError",
     "ZtrvGateway",
-    "ablation_run",
     "attack_eval",
     "canonical_encode",
     "capacity_probe",

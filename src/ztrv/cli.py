@@ -142,7 +142,7 @@ def cmd_attack_eval(args) -> int:
     _check_replays(args)
     _ensure_out_dir(args.out)
     mode = Mode(args.mode)
-    reports = attack_eval(mode, n=args.n, seed=args.seed,
+    reports = attack_eval([mode], n=args.n, seed=args.seed,
                           replay_count=args.replays,
                           concurrency=args.concurrency)
     rows = []
@@ -158,12 +158,12 @@ def cmd_attack_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    from .simharness import AttackKind, ablation_run, interception_matrix
+    from .simharness import AttackKind, attack_eval, interception_matrix
     _check_replays(args)
     _ensure_out_dir(args.out)
-    reports = ablation_run(n=args.n, seed=args.seed,
-                           replay_count=args.replays,
-                           concurrency=args.concurrency)
+    reports = attack_eval(list(Mode), n=args.n, seed=args.seed,
+                          replay_count=args.replays,
+                          concurrency=args.concurrency)
     matrix = interception_matrix(reports)
     scenarios = [k.value for k in AttackKind]
     rows = [[mode] + [f"{matrix[mode][s]:.2f}" for s in scenarios]

@@ -86,6 +86,10 @@ def parse_listen_address(address: str) -> tuple[str, int]:
     host, sep, port_text = address.rpartition(":")
     if not sep or not host:
         raise ConfigError("listen_address must be host:port")
+    # the listener is IPv4 only
+    if ":" in host or "[" in host:
+        raise ConfigError("listen_address host must be an IPv4 address or "
+                          "host name")
     try:
         port = int(port_text)
     except ValueError:
@@ -625,6 +629,17 @@ def _read_answer(conn: socket.socket, deadline: float,
 # Gateway
 # ---------------------------------------------------------------------------
 
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a repeated name is a ValueError.
+    The gateway forwards the body it verified, and an upstream that keeps
+    the first of two members where json keeps the last would read another
+    request."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated name in a JSON object")
+    return obj
+
+
 class ZtrvGateway(_HttpService):
     """The verification gateway service.
 
@@ -674,7 +689,8 @@ class ZtrvGateway(_HttpService):
         request = None
         if body is not None:
             try:
-                request = request_from_wire(json.loads(body))
+                request = request_from_wire(
+                    json.loads(body, object_pairs_hook=_unique_names))
             except (ValueError, RecursionError):
                 # WireFormatError and UnicodeDecodeError are ValueErrors;
                 # json raises RecursionError on deeply nested input

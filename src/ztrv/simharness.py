@@ -20,7 +20,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import groupby
@@ -35,8 +35,8 @@ from .mandate import (
     issue_mandate,
 )
 from .registry import PER_ENTRY_BYTES, NonceRegistry, RegistryStats
-from .verifier import (DEFAULT_CONCURRENCY, Decision, Mode, Reason,
-                       StageTimings, VerifierConfig, admit, check, verify)
+from .verifier import (DEFAULT_CONCURRENCY, STAGE_TIMINGS, Decision, Mode,
+                       Reason, VerifierConfig, admit, check, verify)
 
 MERCHANT_POOL = tuple(f"merchant-{i:02d}" for i in range(8))
 SCOPE_POOL = ("/checkout/confirm", "/orders/place", "/subscriptions/renew",
@@ -55,6 +55,9 @@ PROBE_RATE = 10_000.0
 
 # an arbitrary but fixed origin, so workload timestamps are reproducible
 VIRTUAL_EPOCH_MS = 1_700_000_000_000
+
+# the latency percentiles reported for each of Decision's STAGE_TIMINGS
+PERCENTILES = (50, 90, 99)
 
 
 class AttackKind(Enum):
@@ -106,9 +109,6 @@ class SimReport:
                 self.legit_sent, self.legit_accepted,
                 f"{self.false_positive_rate:.6f}"]
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # Workload generation
@@ -120,17 +120,18 @@ def sim_issuer(seed: int) -> IssuerKey:
     return IssuerKey.generate(f"sim-issuer-{seed & 0xFFFF:04x}", rng=rng)
 
 
-def gen_legit_workload(rate: float, duration: float, seed: int, *,
-                       issuer: IssuerKey) -> list[TimedRequest]:
+def gen_legit_workload(rate: float, duration: float,
+                       seed: int) -> list[TimedRequest]:
     """Emit rate*duration well-formed requests, reproducible from seed.
 
-    Each request carries a freshly issued mandate correctly bound to its own
-    context: unique task_id, agent (of N_AGENTS) and merchant drawn from
-    seeded pools, and issue timestamps spread uniformly over the duration
-    from VIRTUAL_EPOCH_MS.
+    Each request carries a mandate freshly issued by ``sim_issuer(seed)``
+    and correctly bound to its own context: unique task_id, agent (of
+    N_AGENTS) and merchant drawn from seeded pools, and issue timestamps
+    spread uniformly over the duration from VIRTUAL_EPOCH_MS.
     """
     if rate <= 0 or duration <= 0:
         raise ValueError("rate and duration must be positive")
+    issuer = sim_issuer(seed)
     rng = random.Random(seed)
     n = int(round(rate * duration))
     items = []
@@ -216,13 +217,11 @@ def _percentile(sorted_values: list[int], q: float) -> int:
     return sorted_values[k]
 
 
-def summarize_timings(timings: list[StageTimings]) -> dict:
+def summarize_timings(decisions: list[Decision]) -> dict:
     out = {}
-    for stage in ("signature_ns", "context_ns", "registry_ns", "total_ns"):
-        values = sorted(getattr(t, stage) for t in timings)
-        out[stage] = {"p50": _percentile(values, 50),
-                      "p90": _percentile(values, 90),
-                      "p99": _percentile(values, 99)}
+    for stage in STAGE_TIMINGS:
+        values = sorted(getattr(decision, stage) for decision in decisions)
+        out[stage] = {f"p{q}": _percentile(values, q) for q in PERCENTILES}
     return out
 
 
@@ -265,20 +264,18 @@ def _verify_waves(waves: list[list[list[TimedRequest]]],
     return decisions, last_done - t0
 
 
-def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
-                   rate: float, duration: float, seed: int,
+def run_experiment(mode: Mode, scenario: AttackScenario | None,
+                   workload: list[TimedRequest], keystore: Keystore,
                    concurrency: int = DEFAULT_CONCURRENCY) -> SimReport:
-    """Drive a mixed legitimate+attack stream through an in-process verifier.
+    """Drive ``workload``, with ``scenario``'s attacks (None: no attacks)
+    derived from it, through an in-process verifier on a fresh registry.
 
     Requests sharing a timestamp form a wave, raced concurrently through a
     worker pool and verified at that timestamp; waves run in time order, one
-    after another.  Outcome counts are deterministic for a given seed even
-    under that concurrency, because every race the schedule leaves open is
-    one the verifier resolves identically regardless of interleaving.
+    after another.  Outcome counts are deterministic for a given workload
+    even under that concurrency, because every race the schedule leaves open
+    is one the verifier resolves identically regardless of interleaving.
     """
-    issuer = sim_issuer(seed)
-    keystore = Keystore.for_issuers(issuer)
-    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
     if scenario is None:
         legit, attacks = workload, []
     else:
@@ -319,34 +316,23 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None = None, *,
         legit_accepted=legit_accepted,
         false_positive_rate=(1.0 - legit_accepted / legit_sent
                              if legit_sent else 0.0),
-        stage_latency_percentiles=summarize_timings(
-            [decision.timings for decision in decisions]),
+        stage_latency_percentiles=summarize_timings(decisions),
         registry_stats=registry.stats(),
     )
 
 
-def attack_eval(mode: Mode, *, n: int, seed: int, replay_count: int,
+def attack_eval(modes: list[Mode], *, n: int, seed: int, replay_count: int,
                 concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
-    """One experiment per attack scenario against an n-request legit stream."""
-    reports = []
-    for kind in AttackKind:
-        scenario = AttackScenario(kind=kind, replay_count=replay_count,
-                                  seed=seed + 1)
-        reports.append(run_experiment(
-            mode, scenario, rate=n / ATTACK_DURATION_S,
-            duration=ATTACK_DURATION_S, seed=seed, concurrency=concurrency))
-    return reports
-
-
-def ablation_run(*, n: int, seed: int, replay_count: int,
-                 concurrency: int = DEFAULT_CONCURRENCY) -> list[SimReport]:
-    """Every (mode, scenario) pair; the interception matrix behind the reports."""
-    reports = []
-    for mode in (Mode.BASELINE, Mode.CONTEXT_ONLY, Mode.NONCE_ONLY, Mode.FULL):
-        reports.extend(attack_eval(mode, n=n, seed=seed,
-                                   replay_count=replay_count,
-                                   concurrency=concurrency))
-    return reports
+    """One experiment per (mode, attack scenario) against one n-request
+    legitimate stream, generated and signed once; the reports come in
+    ``modes`` order, then AttackKind order.  The ablation is every Mode."""
+    scenarios = [AttackScenario(kind=kind, replay_count=replay_count,
+                                seed=seed + 1) for kind in AttackKind]
+    workload = gen_legit_workload(n / ATTACK_DURATION_S, ATTACK_DURATION_S,
+                                  seed)
+    keystore = Keystore.for_issuers(sim_issuer(seed))
+    return [run_experiment(mode, scenario, workload, keystore, concurrency)
+            for mode in modes for scenario in scenarios]
 
 
 def interception_matrix(reports: list[SimReport]) -> dict[str, dict[str, float]]:
@@ -382,9 +368,8 @@ def ttl_sweep(windows: list[float], rate: float, duration: float, *,
     windows let entries expire during the run, longer ones plateau at the
     full workload size.
     """
-    issuer = sim_issuer(seed)
-    keystore = Keystore.for_issuers(issuer)
-    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
+    keystore = Keystore.for_issuers(sim_issuer(seed))
+    workload = gen_legit_workload(rate, duration, seed)
     runs = [(VerifierConfig(window=window), NonceRegistry())
             for window in windows]
     for item in workload:
@@ -413,22 +398,16 @@ class ThroughputPoint:
     accepted: int
     stage_latency_percentiles: dict
 
+    # signature_p50_ns, ..., total_p99_ns
     CSV_FIELDS = ("offered_rate", "achieved_rate", "verified", "accepted",
-                  "signature_p50_ns", "signature_p90_ns", "signature_p99_ns",
-                  "context_p50_ns", "context_p90_ns", "context_p99_ns",
-                  "registry_p50_ns", "registry_p90_ns", "registry_p99_ns",
-                  "total_p50_ns", "total_p90_ns", "total_p99_ns")
+                  *(f"{stage.removesuffix('_ns')}_p{q}_ns"
+                    for stage in STAGE_TIMINGS for q in PERCENTILES))
 
     def csv_row(self) -> list:
-        row = [f"{self.offered_rate:.1f}", f"{self.achieved_rate:.1f}",
-               self.verified, self.accepted]
-        for stage in ("signature_ns", "context_ns", "registry_ns", "total_ns"):
-            for p in ("p50", "p90", "p99"):
-                row.append(self.stage_latency_percentiles[stage][p])
-        return row
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+        return [f"{self.offered_rate:.1f}", f"{self.achieved_rate:.1f}",
+                self.verified, self.accepted,
+                *(self.stage_latency_percentiles[stage][f"p{q}"]
+                  for stage in STAGE_TIMINGS for q in PERCENTILES)]
 
 
 def _bench_point(offered_rate: float, rate: float, duration: float,
@@ -439,20 +418,18 @@ def _bench_point(offered_rate: float, rate: float, duration: float,
     Request i is dated ``i / rate`` s into the workload.  When paced at
     ``rate``, that is the instant its batch is offered.
     """
-    issuer = sim_issuer(seed)
-    workload = gen_legit_workload(rate, duration, seed, issuer=issuer)
+    workload = gen_legit_workload(rate, duration, seed)
     batches = [workload[i:i + batch_size]
                for i in range(0, len(workload), batch_size)]
     decisions, elapsed_s = _verify_waves(
         [batches], VerifierConfig(), NonceRegistry(),
-        Keystore.for_issuers(issuer), concurrency, pace_s)
+        Keystore.for_issuers(sim_issuer(seed)), concurrency, pace_s)
     return ThroughputPoint(
         offered_rate=offered_rate,
         achieved_rate=len(decisions) / elapsed_s if elapsed_s > 0 else 0.0,
         verified=len(decisions),
         accepted=sum(decision.accepted for decision in decisions),
-        stage_latency_percentiles=summarize_timings(
-            [decision.timings for decision in decisions]),
+        stage_latency_percentiles=summarize_timings(decisions),
     )
 
 

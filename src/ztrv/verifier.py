@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .mandate import (
@@ -68,31 +68,23 @@ class Reason(Enum):
 
 
 @dataclass(frozen=True)
-class StageTimings:
-    """Per-stage wall time in nanoseconds; stages that did not run report 0.
-
-    ``total_ns`` is measured end to end and also covers parse and dispatch
-    overhead, so it can exceed the sum of the stage fields.
-    """
-
-    signature_ns: int = 0
-    context_ns: int = 0
-    registry_ns: int = 0
-    total_ns: int = 0
-
-
-@dataclass(frozen=True)
 class Decision:
     """What the pipeline decided, and how long each stage took to decide it.
 
-    The outcome follows from the reason: ACCEPT iff Authorized.  ``timings``
-    is a measurement, not part of the decision: decisions compare equal
-    without it, and it is left out of the wire form.
+    The outcome follows from the reason: ACCEPT iff Authorized.  The
+    ``*_ns`` fields are per-stage wall time in nanoseconds, 0 for a stage
+    that did not run; ``total_ns`` is measured end to end and also covers
+    parse and dispatch overhead, so it can exceed the sum of the others.
+    They are measurements, not part of the decision: decisions compare equal
+    without them, and they are left out of the wire form.
     """
 
     reason: Reason
     mandate_id: str
-    timings: StageTimings = field(compare=False)
+    signature_ns: int = field(default=0, compare=False)
+    context_ns: int = field(default=0, compare=False)
+    registry_ns: int = field(default=0, compare=False)
+    total_ns: int = field(default=0, compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -108,6 +100,10 @@ class Decision:
             "reason": self.reason.value,
             "mandate_id": self.mandate_id,
         }
+
+
+# Decision's timing fields, in declaration order
+STAGE_TIMINGS = tuple(f.name for f in fields(Decision) if not f.compare)
 
 
 @dataclass(frozen=True)
@@ -233,6 +229,5 @@ def verify(request: VerificationRequest | None, now: int,
         # stage 1 reads nothing of a request it rejects
         mandate_id=("" if reason is Reason.MALFORMED_REQUEST
                     else request.mandate.mandate_id),
-        timings=StageTimings(signature_ns=signature_ns, context_ns=context_ns,
-                             registry_ns=registry_ns,
-                             total_ns=time.perf_counter_ns() - t_start))
+        signature_ns=signature_ns, context_ns=context_ns,
+        registry_ns=registry_ns, total_ns=time.perf_counter_ns() - t_start)

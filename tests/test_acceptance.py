@@ -28,7 +28,7 @@ from ztrv import (
     VerificationRequest,
     VerifierConfig,
     ZtrvGateway,
-    ablation_run,
+    attack_eval,
     capacity_probe,
     interception_matrix,
     issue_mandate,
@@ -126,7 +126,8 @@ GOLDEN_MATRIX = {
 def test_criterion_2_ablation_matrix(report):
     t0 = time.monotonic()
     problems = []
-    reports = ablation_run(n=1000, seed=42, replay_count=100, concurrency=16)
+    reports = attack_eval(list(Mode), n=1000, seed=42, replay_count=100,
+                          concurrency=16)
     matrix = interception_matrix(reports)
     if matrix != GOLDEN_MATRIX:
         problems.append(f"matrix mismatch: {matrix}")

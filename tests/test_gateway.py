@@ -175,6 +175,8 @@ def test_load_config_rejects_bad_values(tmp_path):
     ("keystore_path", None),
     ("keystore_path", ""),
     ("listen_address", "nocolon"),
+    ("listen_address", "[::1]:8080"),  # the listener is IPv4 only
+    ("listen_address", "::1:8080"),
     ("upstream_url", "ftp://nope"),
 ])
 def test_gateway_config_validates_on_construction(key, value):
@@ -300,6 +302,26 @@ def test_wrong_field_types_are_malformed_decisions(gateway, merchant,
     assert status == 403
     assert json.loads(body) == {"outcome": "REJECT",
                                 "reason": "MalformedRequest", "mandate_id": ""}
+    assert len(merchant.ledger) == 0
+
+
+@pytest.mark.parametrize("member, decoy", [
+    ("", '"mandate": null'), ('"mandate": ', '"nonce": "decoy"'),
+    ('"payload": ', '"amount": 1'), ('"context": ', '"scope": "/decoy"'),
+], ids=["request", "mandate", "payload", "context"])
+def test_repeated_json_name_is_malformed(gateway, merchant, make_request,
+                                         member, decoy):
+    # the signed value comes last, where json.loads would keep it; an
+    # upstream keeping the first would read the decoy
+    body = json.dumps(request_to_wire(make_request(
+        now=gateway.clock.now_ms())))
+    at = body.index(member + "{") + len(member) + 1
+    body = body[:at] + decoy + ", " + body[at:]
+    status, payload, _ = _post(f"{gateway.base_url}/execute", body.encode())
+    assert status == 403
+    assert json.loads(payload) == {"outcome": "REJECT",
+                                   "reason": "MalformedRequest",
+                                   "mandate_id": ""}
     assert len(merchant.ledger) == 0
 
 

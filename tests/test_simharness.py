@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,8 +9,10 @@ import pytest
 from ztrv import (
     AttackKind,
     AttackScenario,
+    Keystore,
     Mode,
     VIRTUAL_EPOCH_MS,
+    attack_eval,
     capacity_probe,
     gen_legit_workload,
     hash_context_fields,
@@ -30,7 +33,7 @@ from ztrv.simharness import (
     summarize_timings,
     write_report_files,
 )
-from ztrv.verifier import StageTimings
+from ztrv.verifier import Decision, Reason
 
 WINDOW_MS = 60_000
 
@@ -78,21 +81,19 @@ def oracle_run(items, mode: Mode, window_ms: int = WINDOW_MS):
 # ---------------------------------------------------------------------------
 
 def test_workload_count_and_determinism():
-    issuer = sim_issuer(5)
-    a = gen_legit_workload(10, 1.0, seed=5, issuer=issuer)
-    b = gen_legit_workload(10, 1.0, seed=5, issuer=issuer)
+    a = gen_legit_workload(10, 1.0, seed=5)
+    b = gen_legit_workload(10, 1.0, seed=5)
     assert len(a) == 10
     assert [i.request.mandate.nonce for i in a] == \
            [i.request.mandate.nonce for i in b]
     assert [i.request.context for i in a] == [i.request.context for i in b]
-    c = gen_legit_workload(10, 1.0, seed=6, issuer=issuer)
+    c = gen_legit_workload(10, 1.0, seed=6)
     assert [i.request.mandate.nonce for i in a] != \
            [i.request.mandate.nonce for i in c]
 
 
 def test_workload_shape():
-    issuer = sim_issuer(7)
-    items = gen_legit_workload(50, 2.0, seed=7, issuer=issuer)
+    items = gen_legit_workload(50, 2.0, seed=7)
     assert len(items) == 100
     task_ids = [i.request.context.task_id for i in items]
     assert len(set(task_ids)) == len(task_ids)
@@ -108,13 +109,12 @@ def test_workload_shape():
         # construction invariant: correctly bound and signed
         assert (item.request.mandate.context_hash
                 == hash_context_fields(item.request.context))
-    assert verify_signature(items[0].request.mandate, issuer.public_key)
+    assert verify_signature(items[0].request.mandate, sim_issuer(7).public_key)
 
 
 def test_workload_validates_params():
-    issuer = sim_issuer(1)
     with pytest.raises(ValueError):
-        gen_legit_workload(0, 1, seed=1, issuer=issuer)
+        gen_legit_workload(0, 1, seed=1)
 
 
 def test_sim_issuer_deterministic():
@@ -128,8 +128,7 @@ def test_sim_issuer_deterministic():
 
 @pytest.fixture
 def victims():
-    issuer = sim_issuer(11)
-    return gen_legit_workload(20, 5.0, seed=11, issuer=issuer)
+    return gen_legit_workload(20, 5.0, seed=11)
 
 
 def test_same_context_replay_keeps_victims_and_replays_bytes(victims):
@@ -205,11 +204,11 @@ def test_run_experiment_matches_serial_oracle(mode, kind):
     # small instances per the oracle-equivalence property (<=100 requests)
     seed = 33
     scenario = AttackScenario(kind=kind, replay_count=10, seed=seed + 1)
-    report = run_experiment(mode, scenario, rate=6, duration=10, seed=seed,
+    workload = gen_legit_workload(6, 10, seed=seed)
+    report = run_experiment(mode, scenario, workload,
+                            Keystore.for_issuers(sim_issuer(seed)),
                             concurrency=8)
 
-    issuer = sim_issuer(seed)
-    workload = gen_legit_workload(6, 10, seed=seed, issuer=issuer)
     legit, attacks = inject_attack(scenario, workload)
     expected = oracle_run(legit + attacks, mode)
 
@@ -239,14 +238,16 @@ def test_run_experiment_pool_has_the_requested_workers(monkeypatch):
     monkeypatch.setattr(simharness, "ThreadPoolExecutor", RecordingPool)
     scenario = AttackScenario(kind=AttackKind.SAME_CONTEXT_REPLAY,
                               replay_count=4, seed=9)
-    run_experiment(Mode.FULL, scenario, rate=5, duration=2, seed=9,
-                   concurrency=8)
+    run_experiment(Mode.FULL, scenario, gen_legit_workload(5, 2, seed=9),
+                   Keystore.for_issuers(sim_issuer(9)), concurrency=8)
     assert sizes == [8]
 
 
 def test_legit_only_zero_fpr_all_modes():
+    workload = gen_legit_workload(5, 10, seed=2)
+    keystore = Keystore.for_issuers(sim_issuer(2))
     for mode in Mode:
-        report = run_experiment(mode, None, rate=5, duration=10, seed=2)
+        report = run_experiment(mode, None, workload, keystore)
         assert report.scenario == "legitimate"
         assert report.legit_sent == 50
         assert report.legit_accepted == 50
@@ -258,10 +259,36 @@ def test_legit_only_zero_fpr_all_modes():
 def test_run_experiment_reproducible_scalars():
     scenario = AttackScenario(kind=AttackKind.SAME_CONTEXT_REPLAY,
                               replay_count=20, seed=8)
-    a = run_experiment(Mode.FULL, scenario, rate=10, duration=5, seed=21)
-    b = run_experiment(Mode.FULL, scenario, rate=10, duration=5, seed=21)
+    a, b = (run_experiment(Mode.FULL, scenario,
+                           gen_legit_workload(10, 5, seed=21),
+                           Keystore.for_issuers(sim_issuer(21)))
+            for _ in range(2))
     assert a.csv_row() == b.csv_row()
     assert a.registry_stats == b.registry_stats
+
+
+def test_attack_eval_reports_every_mode_and_scenario_in_order():
+    reports = attack_eval([Mode.FULL, Mode.BASELINE], n=60, seed=5,
+                          replay_count=4, concurrency=2)
+    assert [(r.mode, r.scenario) for r in reports] == [
+        (mode.value, kind.value)
+        for mode in (Mode.FULL, Mode.BASELINE) for kind in AttackKind]
+
+
+def test_attack_eval_signs_its_workload_once(monkeypatch):
+    calls = []
+    sign = mandate.ENGINE.sign
+
+    def counting_sign(*args):
+        calls.append(args)
+        return sign(*args)
+
+    monkeypatch.setattr(mandate.ENGINE, "sign", counting_sign)
+    attack_eval(list(Mode), n=1000, seed=42, replay_count=100)
+    assert len(calls) == 1000  # not one workload per (mode, scenario)
+    calls.clear()
+    attack_eval([Mode.FULL], n=300, seed=7, replay_count=10)
+    assert len(calls) == 300  # not one workload per scenario
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +299,7 @@ def test_ttl_sweep_matches_reference_registry():
     rate, duration = 100, 10
     points = ttl_sweep([2, 5, 20], rate=rate, duration=duration, seed=13)
 
-    issuer = sim_issuer(13)
-    workload = gen_legit_workload(rate, duration, seed=13, issuer=issuer)
+    workload = gen_legit_workload(rate, duration, seed=13)
     for point in points:
         ttl_ms = int(point.window * 1000) + 1  # window + 2*skew + 1, skew 0
         entries = {}
@@ -350,9 +376,10 @@ def test_throughput_bench_rejects_bad_rate(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_summarize_timings_percentiles():
-    timings = [StageTimings(signature_ns=i + 1, context_ns=1, registry_ns=1,
-                            total_ns=i + 3) for i in range(100)]
-    pct = summarize_timings(timings)
+    decisions = [Decision(Reason.AUTHORIZED, "m", signature_ns=i + 1,
+                          context_ns=1, registry_ns=1, total_ns=i + 3)
+                 for i in range(100)]
+    pct = summarize_timings(decisions)
     assert pct["signature_ns"] == {"p50": 50, "p90": 90, "p99": 99}
     assert pct["total_ns"]["p99"] == 101
     assert summarize_timings([])["total_ns"] == {"p50": 0, "p90": 0, "p99": 0}
@@ -373,8 +400,9 @@ def test_write_report_files(tmp_path):
 
 
 def test_sim_report_json_dict_roundtrips():
-    report = run_experiment(Mode.FULL, None, rate=5, duration=2, seed=17)
-    obj = report.to_json_dict()
+    report = run_experiment(Mode.FULL, None, gen_legit_workload(5, 2, seed=17),
+                            Keystore.for_issuers(sim_issuer(17)))
+    obj = dataclasses.asdict(report)  # as the command line writes it
     assert obj["scenario"] == "legitimate"
     assert obj["registry_stats"]["live_count"] == report.registry_stats.live_count
     json.dumps(obj)  # must be JSON-serializable as-is

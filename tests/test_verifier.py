@@ -15,13 +15,12 @@ from ztrv import (
     Outcome,
     PaymentPayload,
     Reason,
-    StageTimings,
     VerificationRequest,
     VerifierConfig,
     verify,
 )
 from ztrv.registry import MAX_TTL_MS
-from ztrv.verifier import Decision
+from ztrv.verifier import STAGE_TIMINGS, Decision
 
 from conftest import T0
 
@@ -285,22 +284,20 @@ def test_baseline_timings_skip_context_and_registry(make_request, keystore):
     config = VerifierConfig(mode=Mode.BASELINE)
     decision = verify(make_request(), T0 + 1, config, fresh_registry(),
                       keystore)
-    timings = decision.timings
     assert decision.accepted
-    assert timings.context_ns == 0
-    assert timings.registry_ns == 0
-    assert timings.signature_ns > 0
+    assert decision.context_ns == 0
+    assert decision.registry_ns == 0
+    assert decision.signature_ns > 0
 
 
 def test_full_timings_all_stages_positive(make_request, keystore):
     decision = verify(make_request(), T0 + 1, FULL, fresh_registry(), keystore)
-    timings = decision.timings
     assert decision.accepted
-    assert timings.signature_ns > 0
-    assert timings.context_ns > 0
-    assert timings.registry_ns > 0
-    assert timings.total_ns >= (timings.signature_ns + timings.context_ns
-                                + timings.registry_ns)
+    assert decision.signature_ns > 0
+    assert decision.context_ns > 0
+    assert decision.registry_ns > 0
+    assert decision.total_ns >= (decision.signature_ns + decision.context_ns
+                                 + decision.registry_ns)
 
 
 def test_malformed_skips_all_timed_stages(keystore, make_request):
@@ -308,16 +305,19 @@ def test_malformed_skips_all_timed_stages(keystore, make_request):
     bad = VerificationRequest(
         dataclasses.replace(request.mandate, context_hash="zz"),
         request.context)
-    timings = verify(bad, T0, FULL, fresh_registry(), keystore).timings
-    assert timings.signature_ns == 0
-    assert timings.context_ns == 0
-    assert timings.registry_ns == 0
-    assert timings.total_ns > 0
+    decision = verify(bad, T0, FULL, fresh_registry(), keystore)
+    assert decision.signature_ns == 0
+    assert decision.context_ns == 0
+    assert decision.registry_ns == 0
+    assert decision.total_ns > 0
 
 
 def test_timings_are_not_part_of_the_decision(make_request, keystore):
     decision = verify(make_request(), T0 + 1, FULL, fresh_registry(), keystore)
-    assert dataclasses.replace(decision, timings=StageTimings()) == decision
+    assert STAGE_TIMINGS == ("signature_ns", "context_ns", "registry_ns",
+                             "total_ns")
+    untimed = dataclasses.replace(decision, **dict.fromkeys(STAGE_TIMINGS, 0))
+    assert untimed == decision
     assert set(decision.to_wire()) == {"outcome", "reason", "mandate_id"}
 
 
@@ -363,7 +363,7 @@ def test_decision_outcome_iff_authorized(make_request, keystore):
 
 @pytest.mark.parametrize("reason", list(Reason))
 def test_outcome_follows_reason(reason):
-    decision = Decision(reason=reason, mandate_id="m", timings=StageTimings())
+    decision = Decision(reason=reason, mandate_id="m")
     authorized = reason is Reason.AUTHORIZED
     assert decision.accepted is authorized
     assert decision.outcome is (Outcome.ACCEPT if authorized
