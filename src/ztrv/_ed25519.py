@@ -1,4 +1,4 @@
-"""Ed25519 signing backend, and the SHA-256 the mandate encodings use.
+"""Ed25519 signing backend.
 
 Binds the system libsodium through ctypes when available and falls back to
 the ``cryptography`` package otherwise.  Both produce standard RFC 8032
@@ -6,10 +6,9 @@ detached signatures, so keys and signatures are interchangeable between
 backends.  The libsodium path exists because per-call object construction
 in ``cryptography`` costs enough to matter on the gateway hot path.
 
-SHA-256 comes from the same engine: libsodium has its own, so a process on
-the libsodium engine never loads OpenSSL (``hashlib`` would, for one hash
-per request).  The ``cryptography`` engine loads OpenSSL anyway and hashes
-with ``hashlib``.
+The engine does Ed25519 only.  A verify releases the GIL once, for the
+signature check; the context hash's SHA-256 is CPython's own (see
+``mandate``), which keeps the GIL on short inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ SEED_LEN = 32
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 64  # libsodium secret key = seed || public key
 SIGNATURE_LEN = 64
-SHA256_LEN = 32
 
 
 class _SodiumEngine:
@@ -39,9 +37,6 @@ class _SodiumEngine:
         lib.crypto_sign_ed25519_verify_detached.argtypes = [
             ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong,
             ctypes.c_char_p]
-        lib.crypto_hash_sha256.argtypes = [
-            ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong]
-        lib.crypto_hash_sha256.restype = ctypes.c_int
         self._lib = lib
         # seed -> 64-byte secret key; issuers are few, so unbounded is fine
         self._secret_cache: dict[bytes, bytes] = {}
@@ -67,12 +62,6 @@ class _SodiumEngine:
             signature, message, len(message), public_key)
         return rc == 0
 
-    def sha256(self, data: bytes) -> bytes:
-        digest = ctypes.create_string_buffer(SHA256_LEN)
-        if self._lib.crypto_hash_sha256(digest, data, len(data)) != 0:
-            raise RuntimeError("crypto_hash_sha256 failed")
-        return digest.raw
-
     def _keypair(self, seed: bytes) -> tuple[bytes, bytes]:
         if len(seed) != SEED_LEN:
             raise ValueError("seed must be 32 bytes")
@@ -95,10 +84,8 @@ class _CryptographyEngine:
     name = "cryptography"
 
     def __init__(self):
-        import hashlib
         from cryptography.hazmat.primitives.asymmetric import ed25519
         from cryptography.exceptions import InvalidSignature
-        self._sha256 = hashlib.sha256
         self._ed25519 = ed25519
         self._invalid = InvalidSignature
         self._private_cache: dict[bytes, object] = {}
@@ -131,9 +118,6 @@ class _CryptographyEngine:
             return True
         except self._invalid:
             return False
-
-    def sha256(self, data: bytes) -> bytes:
-        return self._sha256(data).digest()
 
     def _private(self, seed: bytes):
         if len(seed) != SEED_LEN:

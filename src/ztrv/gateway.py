@@ -36,7 +36,7 @@ from http import HTTPStatus
 
 from .mandate import Keystore, request_from_wire
 from .registry import NonceRegistry
-from .verifier import Decision, VerifierConfig, verify
+from .verifier import Decision, Reason, VerifierConfig, verify
 
 log = logging.getLogger("ztrv.gateway")
 
@@ -386,6 +386,8 @@ class _HttpService:
         self._lock = threading.Lock()
         self._workers: set[threading.Thread] = set()
         self._waiting = 0  # workers in accept() or on their way back to it
+        # connections waiting for the first byte of their next request
+        self._idle: set[socket.socket] = set()
         self._stopping = threading.Event()
 
     @property
@@ -475,6 +477,9 @@ class _HttpService:
         buffer = bytearray()
         while True:
             deadline = time.monotonic() + READ_TIMEOUT_S
+            if not buffer and not self._await_request(conn, buffer,
+                                                      recv_buffer, deadline):
+                return
             try:
                 head = _read_head(conn, buffer, recv_buffer, deadline)
             except EOFError:
@@ -520,6 +525,24 @@ class _HttpService:
             self._respond(conn, status, payload, headers, keep_alive)
             if not keep_alive:
                 return
+
+    def _await_request(self, conn: socket.socket, buffer: bytearray,
+                       recv_buffer: memoryview, deadline: float) -> bool:
+        """Read the first bytes of the next request into ``buffer``; False
+        if ``conn`` ends first or the service is stopping.
+
+        While it waits, ``conn`` is idle: ``shutdown`` ends its reading, so
+        that no idle keep-alive connection holds a worker for READ_TIMEOUT_S.
+        """
+        with self._lock:
+            if self._stopping.is_set():
+                return False
+            self._idle.add(conn)
+        try:
+            return _receive(conn, buffer, recv_buffer, deadline) > 0
+        finally:
+            with self._lock:
+                self._idle.discard(conn)
 
     def _read_body(self, conn: socket.socket, buffer: bytearray,
                    recv_buffer: memoryview, deadline: float, method: str,
@@ -570,12 +593,20 @@ class _HttpService:
         """Stop accepting and wait up to SHUTDOWN_WAIT_S for the workers.
 
         Shutting the listener down wakes every worker blocked in accept() (on
-        Linux), so an idle or never-started service stops at once.  A worker
-        still serving a connection finishes that connection first.
+        Linux), so an idle or never-started service stops at once.  A
+        connection waiting for its next request is closed; a worker reading
+        or answering a request finishes it first.
         """
         with self._lock:
             self._stopping.set()  # under the lock: no worker starts after it
             workers = list(self._workers)
+            # under the lock: its worker has not closed any of these yet;
+            # the worker's recv wakes with end of stream
+            for conn in self._idle:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # already reset by the client
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -640,6 +671,28 @@ def _unique_names(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# one decoder for every body, shared by the handler threads as json's own
+# _default_decoder is: a decode keeps no state between calls
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_names)
+
+
+def _decode_body(body: bytes):
+    """The JSON value of ``body``, as ``json.loads(body,
+    object_pairs_hook=_unique_names)`` decodes it, and raising what it
+    raises, without building a decoder per call."""
+    return _DECODER.decode(body.decode(json.detect_encoding(body),
+                                       "surrogatepass"))
+
+
+# The 403 body of each rejecting reason, with %s for the mandate id: what
+# json.dumps(decision.to_wire()) writes.  A rejected decision's mandate_id
+# is "" or, past stage 1, 32 lowercase hex characters, which json.dumps
+# writes as they are.
+_REJECT_BODIES = {
+    reason: json.dumps(Decision(reason, "%s").to_wire()).encode("utf-8")
+    for reason in Reason if reason is not Reason.AUTHORIZED}
+
+
 class ZtrvGateway(_HttpService):
     """The verification gateway service.
 
@@ -689,8 +742,7 @@ class ZtrvGateway(_HttpService):
         request = None
         if body is not None:
             try:
-                request = request_from_wire(
-                    json.loads(body, object_pairs_hook=_unique_names))
+                request = request_from_wire(_decode_body(body))
             except (ValueError, RecursionError):
                 # WireFormatError and UnicodeDecodeError are ValueErrors;
                 # json raises RecursionError on deeply nested input
@@ -699,7 +751,8 @@ class ZtrvGateway(_HttpService):
         decision = verify(request, self.clock.now_ms(), self.config.verifier,
                           self.registry, self.keystore)
         if not decision.accepted:
-            return 403, json.dumps(decision.to_wire()).encode("utf-8"), {}
+            return (403, _REJECT_BODIES[decision.reason]
+                    % decision.mandate_id.encode(), {})
         return self._forward(body, decision)
 
     def _forward(self, body: bytes, decision: Decision) -> tuple[int, bytes, dict]:

@@ -13,9 +13,16 @@ import base64
 import json
 import os
 import re
-import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
+
+# CPython's own SHA-256, which hashlib falls back to: it loads no OpenSSL
+# and holds the GIL on short inputs, so a verify releases the GIL only for
+# the Ed25519 check
+try:
+    from _sha256 import sha256  # CPython 3.11
+except ImportError:
+    from _sha2 import sha256  # CPython 3.12 on
 
 from ._ed25519 import ENGINE, PUBLIC_KEY_LEN, SEED_LEN, SIGNATURE_LEN
 
@@ -76,19 +83,19 @@ class VerificationRequest:
 def _frame(values: Iterable[str]) -> bytes:
     # 4-byte big-endian length prefix per field; injective over tuples,
     # unlike plain concatenation ("ab","c" vs "a","bc").
-    out = bytearray()
+    parts = []
     for value in values:
         raw = value.encode("utf-8")
-        out += struct.pack(">I", len(raw))
-        out += raw
-    return bytes(out)
+        parts.append(len(raw).to_bytes(4, "big"))
+        parts.append(raw)
+    return b"".join(parts)
 
 
 def hash_context_fields(context: ExecutionContext) -> str:
     """SHA-256 over the framed concatenation of the four context fields, in
     the order of CONTEXT_FIELDS."""
-    return ENGINE.sha256(_frame((context.task_id, context.agent_id,
-                                 context.merchant_id, context.scope))).hex()
+    return sha256(_frame((context.task_id, context.agent_id,
+                          context.merchant_id, context.scope))).hexdigest()
 
 
 def canonical_encode(mandate_id: str, nonce: str, issued_at: int,

@@ -86,7 +86,8 @@ class NonceRegistry:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._secret = os.urandom(16)
+        # keyed once; each digest starts from a copy of this state
+        self._keyed = blake2b(digest_size=_DIGEST_BYTES, key=os.urandom(16))
         # records in claim order; a bucket is made by its first claim
         self._buckets: list[bytearray | None] = [None] * (1 << _BUCKET_BITS)
         # expiry << _BUCKET_BITS | bucket per claim, in claim order, from
@@ -100,8 +101,9 @@ class NonceRegistry:
 
     def key_digest(self, key: str) -> bytes:
         """The 16 bytes this registry stores and looks up for ``key``."""
-        return blake2b(key.encode(), digest_size=_DIGEST_BYTES,
-                       key=self._secret).digest()
+        state = self._keyed.copy()
+        state.update(key.encode())
+        return state.digest()
 
     def consume_once(self, key: str, now: int, ttl_ms: int,
                      last_fresh: int | None = None) -> bool | None:

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 
 from ztrv import (
     ConfigError,
+    Decision,
     GatewayConfig,
     Keystore,
     Mode,
     MockMerchant,
+    Reason,
     VerificationRequest,
     VerifierConfig,
     ZtrvGateway,
@@ -33,6 +35,8 @@ from ztrv import (
 from ztrv import gateway as gateway_module
 from ztrv.gateway import HANDLER_THREADS, parse_listen_address
 from ztrv.registry import PER_ENTRY_BYTES
+
+from conftest import T0
 
 
 def _post(url, body: bytes, headers=None):
@@ -331,6 +335,50 @@ _json_values = st.recursive(
                       | st.dictionaries(st.text(), children)),
     max_leaves=20)
 
+_JSON_ENCODINGS = ("utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+                   "utf-32", "utf-32-le", "utf-32-be")
+# lone surrogates included, which JSON text may carry raw or escaped
+_any_text = st.text(st.characters()
+                    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+
+
+def _outcome(decode, body):
+    """What ``decode(body)`` gives: its value's repr (NaN compares equal
+    that way), or the class of the exception it raises."""
+    try:
+        return repr(decode(body))
+    except Exception as exc:  # RecursionError is not a ValueError
+        return type(exc)
+
+
+def _repeated_name(name, first, second, in_array):
+    obj = "{%s: %s, %s: %s}" % (json.dumps(name), json.dumps(first),
+                                json.dumps(name), json.dumps(second))
+    return (f"[{obj}]" if in_array else obj).encode()
+
+
+@settings(deadline=None)
+@given(body=st.one_of(
+    st.binary(),
+    # any JSON document, in each encoding json.loads detects, BOM or not
+    st.builds(lambda doc, encoding: json.dumps(doc).encode(encoding),
+              _json_values, st.sampled_from(_JSON_ENCODINGS)),
+    # lone surrogates, escaped or written raw as surrogatepass reads them
+    st.builds(lambda text, ascii, encoding: json.dumps(
+                  text, ensure_ascii=ascii).encode(encoding, "surrogatepass"),
+              _any_text, st.booleans(),
+              st.sampled_from(("utf-8", "utf-16-le", "utf-32-be"))),
+    st.builds(_repeated_name, st.text(max_size=3), _json_values,
+              _json_values, st.booleans()),
+    # nesting from well inside the recursion limit to well past it
+    st.builds(lambda depth, opener: (opener * depth).encode(),
+              st.integers(1, 3_000), st.sampled_from(('[', '{"a":'))),
+))
+def test_shared_decoder_decodes_as_json_loads(body):
+    assert (_outcome(gateway_module._decode_body, body)
+            == _outcome(lambda b: json.loads(
+                b, object_pairs_hook=gateway_module._unique_names), body))
+
 
 @settings(deadline=None)
 @given(body=st.binary() | _json_values.map(lambda v: json.dumps(v).encode()))
@@ -338,6 +386,89 @@ def test_any_body_that_is_not_a_request_is_malformed(idle_gateway, body):
     status, payload, headers = idle_gateway.handle_execute(body)
     assert (status, headers) == (403, {})
     assert json.loads(payload)["reason"] == "MalformedRequest"
+
+
+@pytest.mark.parametrize("reason", [r for r in Reason
+                                    if r is not Reason.AUTHORIZED])
+@pytest.mark.parametrize("mandate_id", ["", "0123456789abcdef" * 2])
+def test_reject_body_is_the_decisions_json(reason, mandate_id):
+    decision = Decision(reason, mandate_id)
+    assert (gateway_module._REJECT_BODIES[reason] % mandate_id.encode()
+            == json.dumps(decision.to_wire()).encode())
+
+
+def _rewrite(request, **changes):
+    return dataclasses.replace(request, mandate=dataclasses.replace(
+        request.mandate, **changes))
+
+
+def _recontext(request, **changes):
+    return dataclasses.replace(request, context=dataclasses.replace(
+        request.context, **changes))
+
+
+def _flip_bit(request):
+    signature = bytearray(request.mandate.signature)
+    signature[5] ^= 0x10
+    return _rewrite(request, signature=bytes(signature))
+
+
+# the attack kinds of the replay storm, each as a rewrite of a valid request
+# and the reason it is rejected with; the mandate id is the request's own
+_STORM_KINDS = {
+    "cross-context": (lambda r: _recontext(r, merchant_id="m-other"),
+                      "ContextMismatch"),
+    "scope-redirect": (lambda r: _recontext(r, scope="/admin/refund"),
+                       "ContextMismatch"),
+    "bad-signature": (_flip_bit, "InvalidSignature"),
+    "unknown-key": (lambda r: _rewrite(r, key_id="rogue-issuer"),
+                    "InvalidSignature"),
+}
+
+
+@pytest.mark.parametrize("kind", ["replay", "stale", "unparseable",
+                                  *_STORM_KINDS])
+def test_storm_rejects_answer_the_decisions_json(gateway, merchant,
+                                                 make_request, kind):
+    now = gateway.clock.now_ms()
+    request = make_request(now=T0 if kind == "stale" else now)
+    body = json.dumps(request_to_wire(request)).encode()
+    mandate_id = request.mandate.mandate_id
+    if kind == "replay":
+        assert _post(f"{gateway.base_url}/execute", body)[0] == 200
+        reason = "ReplayDetected"
+    elif kind == "stale":
+        reason = "MandateExpired"
+    elif kind == "unparseable":
+        body, reason, mandate_id = body[:-7], "MalformedRequest", ""
+    else:
+        rewrite, reason = _STORM_KINDS[kind]
+        body = json.dumps(request_to_wire(rewrite(request))).encode()
+    status, payload, _ = _post(f"{gateway.base_url}/execute", body)
+    assert status == 403
+    assert payload == json.dumps(
+        Decision(Reason(reason), mandate_id).to_wire()).encode()
+    assert len(merchant.ledger) == (kind == "replay")
+
+
+def test_serving_builds_no_json_decoder(gateway, merchant, make_request,
+                                        monkeypatch):
+    inits = []
+    init = json.JSONDecoder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", counting_init)
+    now = gateway.clock.now_ms()
+    statuses = []
+    for _ in range(50):  # each accepted, then replayed
+        body = json.dumps(request_to_wire(make_request(now=now))).encode()
+        statuses += [_post(f"{gateway.base_url}/execute", body)[0]
+                     for _ in range(2)]
+    assert statuses == [200, 403] * 50
+    assert inits == []
 
 
 def test_oversized_body_rejected(merchant, keystore, tmp_path):
@@ -718,6 +849,53 @@ def test_idle_keepalive_connection_is_closed(pooled_gateway):
         assert conn.sock.recv(1) == b""  # closed by the read deadline
     finally:
         conn.close()
+
+
+def _stop_in_background(service) -> threading.Thread:
+    # in a daemon thread, so a shutdown that hangs fails the test and not
+    # the whole run
+    stopper = threading.Thread(target=service.shutdown, daemon=True)
+    stopper.start()
+    return stopper
+
+
+def test_shutdown_closes_an_idle_keepalive_connection():
+    with MockMerchant() as service:
+        conn = _connect(service)
+        try:
+            conn.request("GET", "/ledger")
+            assert conn.getresponse().read() == b'{"entries": []}'
+            began = time.monotonic()
+            stopper = _stop_in_background(service)
+            assert conn.sock.recv(1) == b""  # closed, not left to time out
+            stopper.join(1)
+            assert not stopper.is_alive()
+            assert time.monotonic() - began < 1
+        finally:
+            conn.close()
+
+
+def test_shutdown_answers_a_request_being_read():
+    with MockMerchant() as service:
+        with socket.create_connection((service.host, service.port),
+                                      timeout=10 * SHORT_TIMEOUT_S) as sock:
+            deadline = time.monotonic() + 5
+            while not service._idle and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service._idle  # its worker waits for the first byte
+            sock.sendall(b"GET /ledger HTTP/1.1\r\n")
+            while service._idle and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not service._idle  # and now reads the head
+            stopper = _stop_in_background(service)
+            sock.sendall(b"Host: m\r\n\r\n")
+            with sock.makefile("rb") as answer:
+                assert answer.readline() == b"HTTP/1.1 200 OK\r\n"
+                rest = answer.read()  # to the end: closed once answered
+            assert rest.endswith(b'\r\n\r\n{"entries": []}')
+            assert b"Connection: close" not in rest  # an HTTP/1.1 request
+            stopper.join(1)
+            assert not stopper.is_alive()
 
 
 def test_every_open_keepalive_connection_is_served(keystore):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import struct
 
 import pytest
 from hypothesis import assume, given
@@ -250,12 +251,14 @@ def test_engines_interoperate(issuer, context):
     assert ENGINE.verify(issuer.public_key, sig2, message)
 
 
-@pytest.mark.parametrize("engine", [ENGINE, _CryptographyEngine()],
-                         ids=lambda engine: engine.name)
-@given(data=st.binary(max_size=1024))
-def test_engine_sha256_is_sha256(engine, data):
-    # the context hash is whichever engine's SHA-256 is loaded
-    assert engine.sha256(data) == hashlib.sha256(data).digest()
+@given(fields=st.tuples(*[st.text(min_size=1)] * 4))
+def test_context_hash_is_sha256_of_the_framed_fields(fields):
+    # oracle: hashlib's SHA-256 over each field's UTF-8 behind its length
+    # as 4 big-endian bytes, in the order of CONTEXT_FIELDS
+    framed = b"".join(struct.pack(">I", len(raw)) + raw
+                      for raw in (field.encode("utf-8") for field in fields))
+    assert (hash_context_fields(ExecutionContext(*fields))
+            == hashlib.sha256(framed).hexdigest())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztrv import NonceRegistry
+from ztrv import registry as registry_module
 from ztrv.registry import PER_ENTRY_BYTES
 
 
@@ -208,6 +209,25 @@ def test_each_registry_keys_its_own_digest():
     a, b = NonceRegistry(), NonceRegistry()
     assert a.key_digest("nonce:k") == a.key_digest("nonce:k")
     assert a.key_digest("nonce:k") != b.key_digest("nonce:k")
+
+
+def test_registry_keys_blake2b_once(monkeypatch):
+    # a claim copies the keyed state instead of keying a new one; the digest
+    # is still the 16-byte BLAKE2b of the key under the registry's secret
+    secrets = []
+    blake2b = registry_module.blake2b
+
+    def counting_blake2b(*args, **kwargs):
+        secrets.append(kwargs["key"])
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(registry_module, "blake2b", counting_blake2b)
+    reg = NonceRegistry()
+    for i in range(100):
+        assert reg.consume_once(f"nonce:{i}", i, 1_000) is True
+    assert len(secrets) == 1
+    assert reg.key_digest("nonce:7") == hashlib.blake2b(
+        b"nonce:7", digest_size=16, key=secrets[0]).digest()
 
 
 def test_eviction_touches_only_what_expired():
