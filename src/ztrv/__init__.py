@@ -16,8 +16,6 @@ from .mandate import (
     canonical_encode,
     hash_context_fields,
     issue_mandate,
-    mandate_from_wire,
-    mandate_to_wire,
     request_from_wire,
     request_to_wire,
     verify_signature,
@@ -80,8 +78,6 @@ __all__ = [
     "interception_matrix",
     "issue_mandate",
     "load_config",
-    "mandate_from_wire",
-    "mandate_to_wire",
     "request_from_wire",
     "request_to_wire",
     "run_experiment",

@@ -22,6 +22,31 @@ PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 64  # libsodium secret key = seed || public key
 SIGNATURE_LEN = 64
 
+_P = 2 ** 255 - 19
+# The y of each point of order 1, 2, 4 or 8.  libsodium's has_small_order
+# blocks these five and p, p + 1, which the canonical check refuses first.
+# Under an engine that checks no key, a key A of small order takes the
+# signature R = -[k]A, S = 0 for any message whose k falls in the right
+# class: anyone can forge.
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+_SMALL_ORDER_Y = frozenset({0, 1, _Y8, _P - _Y8, _P - 1})
+
+
+def public_key_problem(public_key: bytes) -> str | None:
+    """Why ``public_key`` is no key to trust, or None.
+
+    A key must be 32 bytes that encode y canonically (y < p once the sign
+    bit is masked) and must not be a point of small order.
+    """
+    if not isinstance(public_key, bytes) or len(public_key) != PUBLIC_KEY_LEN:
+        return "public key must be 32 raw bytes"
+    y = int.from_bytes(public_key, "little") & ((1 << 255) - 1)
+    if y >= _P:
+        return "public key is not a canonical encoding"
+    if y in _SMALL_ORDER_Y:
+        return "public key is a point of small order"
+    return None
+
 
 class _SodiumEngine:
     name = "libsodium"

@@ -34,7 +34,7 @@ import urllib.parse
 from dataclasses import asdict, dataclass, field
 from http import HTTPStatus
 
-from .mandate import Keystore, request_from_wire
+from .mandate import Keystore, decode_json, request_from_wire
 from .registry import NonceRegistry
 from .verifier import Decision, Reason, VerifierConfig, verify
 
@@ -53,6 +53,8 @@ READ_TIMEOUT_S = 10.0
 LISTEN_BACKLOG = 128
 ACCEPT_RETRY_S = 0.05
 SHUTDOWN_WAIT_S = 5.0
+# how often serve_forever wakes to let a signal handler (Ctrl-C) run
+SIGNAL_POLL_S = 0.25
 
 
 class ConfigError(ValueError):
@@ -153,11 +155,13 @@ def _config_number(obj: dict, key: str) -> float:
 def load_config(path) -> GatewayConfig:
     """Parse and validate the flat JSON config; unknown keys are errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            obj = decode_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a repeated name is a WireFormatError, and bytes that are not text
+        # a UnicodeDecodeError: ValueErrors both, as JSONDecodeError is
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -585,9 +589,14 @@ class _HttpService:
         conn.sendall(body)
 
     def serve_forever(self) -> None:
-        """Serve until shutdown() is called from another thread."""
+        """Serve until shutdown() is called from another thread, or a
+        signal handler raises."""
         self.start()
-        self._stopping.wait()
+        # never an untimed wait: the kernel may hand SIGINT to a worker
+        # thread, and then Python runs its handler only once this thread
+        # wakes on its own
+        while not self._stopping.wait(SIGNAL_POLL_S):
+            pass
 
     def shutdown(self) -> None:
         """Stop accepting and wait up to SHUTDOWN_WAIT_S for the workers.
@@ -660,30 +669,6 @@ def _read_answer(conn: socket.socket, deadline: float,
 # Gateway
 # ---------------------------------------------------------------------------
 
-def _unique_names(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members as a dict; a repeated name is a ValueError.
-    The gateway forwards the body it verified, and an upstream that keeps
-    the first of two members where json keeps the last would read another
-    request."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ValueError("repeated name in a JSON object")
-    return obj
-
-
-# one decoder for every body, shared by the handler threads as json's own
-# _default_decoder is: a decode keeps no state between calls
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_names)
-
-
-def _decode_body(body: bytes):
-    """The JSON value of ``body``, as ``json.loads(body,
-    object_pairs_hook=_unique_names)`` decodes it, and raising what it
-    raises, without building a decoder per call."""
-    return _DECODER.decode(body.decode(json.detect_encoding(body),
-                                       "surrogatepass"))
-
-
 # The 403 body of each rejecting reason, with %s for the mandate id: what
 # json.dumps(decision.to_wire()) writes.  A rejected decision's mandate_id
 # is "" or, past stage 1, 32 lowercase hex characters, which json.dumps
@@ -742,7 +727,7 @@ class ZtrvGateway(_HttpService):
         request = None
         if body is not None:
             try:
-                request = request_from_wire(_decode_body(body))
+                request = request_from_wire(decode_json(body))
             except (ValueError, RecursionError):
                 # WireFormatError and UnicodeDecodeError are ValueErrors;
                 # json raises RecursionError on deeply nested input

@@ -1,10 +1,11 @@
-"""Mandate domain model: context hashing, canonical encoding, issuance, wire codecs.
+"""Mandate domain model: context hashing, canonical encoding, issuance, wire format.
 
 A mandate is a signed, single-use payment authorization bound to the
 execution context it was issued for.  Everything the verifier checks is
 derived from the byte encodings defined here, so the encodings are strict:
 length-prefixed framing (no delimiter ambiguity), lowercase hex for ids and
-digests, and exact field sets on the wire.
+digests, and exact field sets on the wire.  This module is the one that
+reads JSON: the request bodies, the keystore and the gateway's config.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -24,13 +24,11 @@ try:
 except ImportError:
     from _sha2 import sha256  # CPython 3.12 on
 
-from ._ed25519 import ENGINE, PUBLIC_KEY_LEN, SEED_LEN, SIGNATURE_LEN
+from ._ed25519 import ENGINE, SEED_LEN, SIGNATURE_LEN, public_key_problem
 
 CONTEXT_FIELDS = ("task_id", "agent_id", "merchant_id", "scope")
 
-_HEX_ID_RE = re.compile(r"[0-9a-f]{32}")
-_HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
-_CURRENCY_RE = re.compile(r"[A-Z]{3}")
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 class WireFormatError(ValueError):
@@ -150,14 +148,23 @@ def context_problem(context: ExecutionContext) -> str | None:
 
 
 def mandate_problem(mandate: Mandate) -> str | None:
-    if not isinstance(mandate.mandate_id, str) or not _HEX_ID_RE.fullmatch(mandate.mandate_id):
+    # an ASCII string is lowercase hex when deleting the hex digits from its
+    # bytes leaves none: one table lookup per byte, against a search of
+    # the digits per character for str.strip
+    value = mandate.mandate_id
+    if not (isinstance(value, str) and len(value) == 32 and value.isascii()
+            and not value.encode().translate(None, _HEX_DIGITS)):
         return "mandate_id must be 32 lowercase hex chars"
-    if not isinstance(mandate.nonce, str) or not _HEX_ID_RE.fullmatch(mandate.nonce):
+    value = mandate.nonce
+    if not (isinstance(value, str) and len(value) == 32 and value.isascii()
+            and not value.encode().translate(None, _HEX_DIGITS)):
         return "nonce must be 32 lowercase hex chars"
     if not isinstance(mandate.issued_at, int) or isinstance(mandate.issued_at, bool) \
             or mandate.issued_at < 0:
         return "issued_at must be a non-negative integer"
-    if not isinstance(mandate.context_hash, str) or not _HEX_DIGEST_RE.fullmatch(mandate.context_hash):
+    value = mandate.context_hash
+    if not (isinstance(value, str) and len(value) == 64 and value.isascii()
+            and not value.encode().translate(None, _HEX_DIGITS)):
         return "context_hash must be 64 lowercase hex chars"
     payload = mandate.payload
     if not isinstance(payload, PaymentPayload):
@@ -165,7 +172,9 @@ def mandate_problem(mandate: Mandate) -> str | None:
     if not isinstance(payload.amount, int) or isinstance(payload.amount, bool) \
             or payload.amount < 0:
         return "payload.amount must be a non-negative integer"
-    if not isinstance(payload.currency, str) or not _CURRENCY_RE.fullmatch(payload.currency):
+    value = payload.currency
+    if not (isinstance(value, str) and len(value) == 3 and value.isascii()
+            and value.isalpha() and value.isupper()):
         return "payload.currency must be three uppercase letters"
     if not isinstance(mandate.key_id, str) or not mandate.key_id or not _encodable(mandate.key_id):
         return "key_id must be a non-empty string"
@@ -242,6 +251,104 @@ def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Wire format: JSON with no repeated name in any object, exact name sets and
+# a base64 signature; field types and contents are left to request_problem
+# ---------------------------------------------------------------------------
+
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a repeated name is a
+    WireFormatError.  RFC 8259 §4 leaves such an object's meaning to the
+    reader: the gateway forwards the body it verified, and an upstream that
+    keeps the first of two members where json keeps the last would read
+    another request; a file would lose a key or a setting unseen."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise WireFormatError(f"repeated name {name!r} in a JSON object")
+            seen.add(name)
+    return obj
+
+
+# one decoder for every input, shared by the gateway's handler threads as
+# json's own _default_decoder is: a decode keeps no state between calls
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_names)
+
+
+def decode_json(data: bytes):
+    """The JSON value of ``data``, as ``json.loads(data,
+    object_pairs_hook=_unique_names)`` decodes it, and raising what it
+    raises, without building a decoder per call."""
+    return _DECODER.decode(data.decode(json.detect_encoding(data),
+                                       "surrogatepass"))
+
+
+_REQUEST_KEYS = frozenset({"mandate", "context"})
+_MANDATE_KEYS = frozenset(
+    {"mandate_id", "nonce", "issued_at", "context_hash", "payload",
+     "key_id", "signature"})
+_PAYLOAD_KEYS = frozenset({"amount", "currency"})
+_CONTEXT_KEYS = frozenset(CONTEXT_FIELDS)
+
+
+def request_to_wire(request: VerificationRequest) -> dict:
+    mandate, context = request.mandate, request.context
+    return {
+        "mandate": {
+            "mandate_id": mandate.mandate_id,
+            "nonce": mandate.nonce,
+            "issued_at": mandate.issued_at,
+            "context_hash": mandate.context_hash,
+            "payload": {
+                "amount": mandate.payload.amount,
+                "currency": mandate.payload.currency,
+            },
+            "key_id": mandate.key_id,
+            "signature": base64.b64encode(mandate.signature).decode("ascii"),
+        },
+        "context": {
+            "task_id": context.task_id,
+            "agent_id": context.agent_id,
+            "merchant_id": context.merchant_id,
+            "scope": context.scope,
+        },
+    }
+
+
+def request_from_wire(obj: Any) -> VerificationRequest:
+    """The request that ``obj``, a value as json.loads gives it, spells.
+
+    Raises WireFormatError unless the request, its mandate, the mandate's
+    payload and the context are objects with exactly their names, and the
+    signature is base64.
+    """
+    try:
+        mandate, context = obj["mandate"], obj["context"]
+        payload = mandate["payload"]
+        # a dict's keys() compares with a frozenset building no set
+        exact = (obj.keys() == _REQUEST_KEYS
+                 and mandate.keys() == _MANDATE_KEYS
+                 and payload.keys() == _PAYLOAD_KEYS
+                 and context.keys() == _CONTEXT_KEYS)
+    except (LookupError, TypeError, AttributeError):
+        exact = False  # something that is not an object where one must be
+    if not exact:
+        raise WireFormatError("request must be a mandate, its payload and a "
+                              "context, each an object with exactly its names")
+    try:
+        signature = base64.b64decode(mandate["signature"], validate=True)
+    except (ValueError, TypeError) as exc:
+        raise WireFormatError("mandate.signature is not valid base64") from exc
+    return VerificationRequest(
+        Mandate(mandate["mandate_id"], mandate["nonce"], mandate["issued_at"],
+                mandate["context_hash"],
+                PaymentPayload(payload["amount"], payload["currency"]),
+                mandate["key_id"], signature),
+        ExecutionContext(**context))
+
+
+# ---------------------------------------------------------------------------
 # Keystore
 # ---------------------------------------------------------------------------
 
@@ -255,10 +362,13 @@ class Keystore:
                 self.add(key_id, public)
 
     def add(self, key_id: str, public_key: bytes) -> None:
+        """Raises ValueError for an empty key_id, and for a key that is not
+        32 bytes, encodes y non-canonically or is a point of small order."""
         if not isinstance(key_id, str) or not key_id:
             raise ValueError("key_id must be a non-empty string")
-        if not isinstance(public_key, bytes) or len(public_key) != PUBLIC_KEY_LEN:
-            raise ValueError("public key must be 32 raw bytes")
+        problem = public_key_problem(public_key)
+        if problem is not None:
+            raise ValueError(problem)
         self._keys[key_id] = public_key
 
     def lookup(self, key_id: str) -> bytes | None:
@@ -273,22 +383,19 @@ class Keystore:
 
     @classmethod
     def from_file(cls, path) -> "Keystore":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """Load a JSON object mapping key_id to base64 public key; a
+        WireFormatError names the first entry that ``add`` refuses."""
+        with open(path, "rb") as fh:
+            obj = decode_json(fh.read())
         if not isinstance(obj, dict):
             raise WireFormatError("keystore must be a JSON object")
-        keys = {}
+        keystore = cls()
         for key_id, encoded in obj.items():
-            if not isinstance(encoded, str):
-                raise WireFormatError(f"keystore[{key_id!r}] must be a base64 string")
             try:
-                public = base64.b64decode(encoded, validate=True)
+                keystore.add(key_id, base64.b64decode(encoded, validate=True))
             except (ValueError, TypeError) as exc:
-                raise WireFormatError(f"keystore[{key_id!r}] is not valid base64") from exc
-            if len(public) != PUBLIC_KEY_LEN:
-                raise WireFormatError(f"keystore[{key_id!r}] must decode to 32 bytes")
-            keys[key_id] = public
-        return cls(keys)
+                raise WireFormatError(f"keystore[{key_id!r}]: {exc}") from exc
+        return keystore
 
     def save(self, path) -> None:
         obj = {key_id: base64.b64encode(public).decode("ascii")
@@ -296,95 +403,3 @@ class Keystore:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Wire codecs (strict JSON shapes: exact key sets, base64 signature; field
-# types and contents are left to request_problem)
-# ---------------------------------------------------------------------------
-
-_MANDATE_KEYS = frozenset(
-    {"mandate_id", "nonce", "issued_at", "context_hash", "payload",
-     "key_id", "signature"})
-_PAYLOAD_KEYS = frozenset({"amount", "currency"})
-_CONTEXT_KEYS = frozenset(CONTEXT_FIELDS)
-_REQUEST_KEYS = frozenset({"mandate", "context"})
-
-
-def _require_keys(obj: Any, expected: frozenset, label: str) -> dict:
-    if not isinstance(obj, dict):
-        raise WireFormatError(f"{label} must be a JSON object")
-    got = set(obj)
-    if got != expected:
-        unknown = sorted(got - expected)
-        missing = sorted(expected - got)
-        parts = []
-        if unknown:
-            parts.append(f"unknown keys {unknown}")
-        if missing:
-            parts.append(f"missing keys {missing}")
-        raise WireFormatError(f"{label}: " + ", ".join(parts))
-    return obj
-
-
-def mandate_to_wire(mandate: Mandate) -> dict:
-    return {
-        "mandate_id": mandate.mandate_id,
-        "nonce": mandate.nonce,
-        "issued_at": mandate.issued_at,
-        "context_hash": mandate.context_hash,
-        "payload": {
-            "amount": mandate.payload.amount,
-            "currency": mandate.payload.currency,
-        },
-        "key_id": mandate.key_id,
-        "signature": base64.b64encode(mandate.signature).decode("ascii"),
-    }
-
-
-def mandate_from_wire(obj: Any) -> Mandate:
-    obj = _require_keys(obj, _MANDATE_KEYS, "mandate")
-    payload_obj = _require_keys(obj["payload"], _PAYLOAD_KEYS, "payload")
-    try:
-        signature = base64.b64decode(obj["signature"], validate=True)
-    except (ValueError, TypeError) as exc:
-        raise WireFormatError("mandate.signature is not valid base64") from exc
-    return Mandate(
-        mandate_id=obj["mandate_id"],
-        nonce=obj["nonce"],
-        issued_at=obj["issued_at"],
-        context_hash=obj["context_hash"],
-        payload=PaymentPayload(amount=payload_obj["amount"],
-                               currency=payload_obj["currency"]),
-        key_id=obj["key_id"],
-        signature=signature,
-    )
-
-
-def context_to_wire(context: ExecutionContext) -> dict:
-    return {
-        "task_id": context.task_id,
-        "agent_id": context.agent_id,
-        "merchant_id": context.merchant_id,
-        "scope": context.scope,
-    }
-
-
-def context_from_wire(obj: Any) -> ExecutionContext:
-    obj = _require_keys(obj, _CONTEXT_KEYS, "context")
-    return ExecutionContext(**obj)
-
-
-def request_to_wire(request: VerificationRequest) -> dict:
-    return {
-        "mandate": mandate_to_wire(request.mandate),
-        "context": context_to_wire(request.context),
-    }
-
-
-def request_from_wire(obj: Any) -> VerificationRequest:
-    obj = _require_keys(obj, _REQUEST_KEYS, "request")
-    return VerificationRequest(
-        mandate=mandate_from_wire(obj["mandate"]),
-        context=context_from_wire(obj["context"]),
-    )

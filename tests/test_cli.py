@@ -247,11 +247,13 @@ def test_python_m_serve_answers_and_stops_on_sigint(tmp_path):
         "upstream_url": "http://127.0.0.1:9/unused",
         "keystore_path": str(keystore)}))
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # faulthandler dumps every thread's stack on SIGABRT, sent on a timeout
+    env = dict(os.environ, PYTHONFAULTHANDLER="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "ztrv", "serve", "--config", str(config)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        cwd=tmp_path)
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 30)
         assert ready, "no output within 30 s"
@@ -262,7 +264,12 @@ def test_python_m_serve_answers_and_stops_on_sigint(tmp_path):
                                     timeout=5) as resp:
             assert (resp.status, resp.read()) == (200, b"ok")
         proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=5)
+        try:
+            out, err = proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGABRT)
+            out, err = proc.communicate(timeout=10)
+            pytest.fail("no exit within 5 s of SIGINT; its threads:\n" + err)
         assert proc.returncode == 0, err
         assert "shutting down" in out
     finally:

@@ -1,3 +1,4 @@
+import base64
 import calendar
 import dataclasses
 import email.utils
@@ -5,6 +6,7 @@ import errno
 import http.client
 import json
 import logging
+import random
 import re
 import socket
 import threading
@@ -15,25 +17,33 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztrv import (
     ConfigError,
     Decision,
+    ExecutionContext,
     GatewayConfig,
+    IssuerKey,
     Keystore,
+    Mandate,
     Mode,
     MockMerchant,
+    PaymentPayload,
     Reason,
     VerificationRequest,
     VerifierConfig,
     ZtrvGateway,
+    issue_mandate,
     load_config,
+    request_from_wire,
     request_to_wire,
 )
 from ztrv import gateway as gateway_module
+from ztrv import mandate as mandate_module
 from ztrv.gateway import HANDLER_THREADS, parse_listen_address
+from ztrv.mandate import request_problem
 from ztrv.registry import PER_ENTRY_BYTES
 
 from conftest import T0
@@ -203,6 +213,19 @@ def test_load_config_missing_file(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ConfigError):
         load_config(arr)
+
+
+def test_load_config_refuses_a_repeated_name(tmp_path):
+    # json would keep the second window and drop the first without a word
+    path = _write_config(tmp_path, window=5)
+    path.write_text(path.read_text().replace('"window"',
+                                             '"window": 600, "window"'))
+    with pytest.raises(ConfigError, match="repeated name 'window'"):
+        load_config(path)
+    for text in (b'{"a": {"b": 1, "b": 2}}', b"\xff{}", b"[" * 100_000):
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
 
 
 def test_parse_listen_address():
@@ -375,9 +398,198 @@ def _repeated_name(name, first, second, in_array):
               st.integers(1, 3_000), st.sampled_from(('[', '{"a":'))),
 ))
 def test_shared_decoder_decodes_as_json_loads(body):
-    assert (_outcome(gateway_module._decode_body, body)
+    assert (_outcome(mandate_module.decode_json, body)
             == _outcome(lambda b: json.loads(
-                b, object_pairs_hook=gateway_module._unique_names), body))
+                b, object_pairs_hook=mandate_module._unique_names), body))
+
+
+# The path from body bytes to a checked request as it was before the wire
+# format moved into mandate, kept as the oracle of the test below: a
+# repeated-name hook raising ValueError, a set of names built per object,
+# a decoder per object and stage 1 by regex.
+
+def _oracle_unique_names(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated name in a JSON object")
+    return obj
+
+
+def _oracle_require_keys(obj, expected):
+    if not isinstance(obj, dict) or set(obj) != set(expected):
+        raise ValueError("wrong names")
+    return obj
+
+
+def _oracle_request(body):
+    text = body.decode(json.detect_encoding(body), "surrogatepass")
+    obj = json.loads(text, object_pairs_hook=_oracle_unique_names)
+    obj = _oracle_require_keys(obj, ("mandate", "context"))
+    mandate = _oracle_require_keys(obj["mandate"], (
+        "mandate_id", "nonce", "issued_at", "context_hash", "payload",
+        "key_id", "signature"))
+    payload = _oracle_require_keys(mandate["payload"], ("amount", "currency"))
+    try:
+        signature = base64.b64decode(mandate["signature"], validate=True)
+    except (ValueError, TypeError) as exc:
+        raise ValueError("bad base64") from exc
+    context = _oracle_require_keys(obj["context"], (
+        "task_id", "agent_id", "merchant_id", "scope"))
+    return VerificationRequest(
+        Mandate(mandate["mandate_id"], mandate["nonce"], mandate["issued_at"],
+                mandate["context_hash"],
+                PaymentPayload(payload["amount"], payload["currency"]),
+                mandate["key_id"], signature),
+        ExecutionContext(**context))
+
+
+def _utf8(value):
+    try:
+        value.encode("utf-8")
+        return True
+    except UnicodeEncodeError:
+        return False
+
+
+_HEX32, _HEX64, _CURRENCY = (re.compile(p).fullmatch for p in (
+    r"[0-9a-f]{32}", r"[0-9a-f]{64}", r"[A-Z]{3}"))
+
+
+def _oracle_shaped(request):
+    m, c = request.mandate, request.context
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    def text(v):
+        return isinstance(v, str) and v and _utf8(v)
+
+    return (isinstance(m.mandate_id, str) and _HEX32(m.mandate_id)
+            and isinstance(m.nonce, str) and _HEX32(m.nonce)
+            and count(m.issued_at)
+            and isinstance(m.context_hash, str) and _HEX64(m.context_hash)
+            and count(m.payload.amount)
+            and isinstance(m.payload.currency, str)
+            and _CURRENCY(m.payload.currency)
+            and text(m.key_id) and len(m.signature) == 64
+            and all(text(getattr(c, name)) for name in (
+                "task_id", "agent_id", "merchant_id", "scope")))
+
+
+def _checked(read, shaped, body):
+    """``repr`` of the request ``read(body)`` gives (NaN compares equal that
+    way) if ``shaped`` passes it, else "reject"."""
+    try:
+        request = read(body)
+    except (ValueError, RecursionError):
+        return "reject"
+    return repr(request) if shaped(request) else "reject"
+
+
+class _Object(list):
+    """A JSON object as its (name, value) members, which may repeat a name."""
+
+
+def _members(value):
+    if isinstance(value, dict):
+        return _Object((name, _members(v)) for name, v in value.items())
+    return value
+
+
+def _dumps(value):
+    if isinstance(value, _Object):
+        return "{%s}" % ", ".join(f"{json.dumps(name)}: {_dumps(v)}"
+                                  for name, v in value)
+    return json.dumps(value)
+
+
+_WIRE = request_to_wire(VerificationRequest(
+    issue_mandate(IssuerKey.from_seed("k", bytes(32)),
+                  ExecutionContext("t", "a", "m", "s"),
+                  PaymentPayload(4999, "USD"), now=T0,
+                  rng=random.Random(18)),
+    ExecutionContext("t", "a", "m", "s")))
+_WIRE_NAMES = sorted({name for obj in (_WIRE, _WIRE["mandate"],
+                                       _WIRE["mandate"]["payload"],
+                                       _WIRE["context"]) for name in obj})
+# strings where a regex and str methods could part ways
+_TRICKY = st.sampled_from([
+    "ＵＳＤ", "ÄBC", "ǅAB", "usd", "US", "USD\n", "\ud800SD",
+    "０" * 32, "٠" * 32, "ABCDEF" * 5 + "00", "0" * 31 + "\n", "0" * 32 + "\n",
+    "a" * 64, "A" * 64, "\udfff" * 32, "", "0" * 32])
+
+
+def _objects(value):
+    """Every object in ``value``, outermost first."""
+    if isinstance(value, _Object):
+        yield value
+        for _, member in value:
+            yield from _objects(member)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _objects(item)
+
+
+@st.composite
+def _mutated_request(draw):
+    """A valid request body with one to three members of its objects
+    dropped, added, renamed, repeated, retyped or swapped for a
+    wire-shaped object from elsewhere."""
+    body = _members(_WIRE)
+    names = st.sampled_from(_WIRE_NAMES) | st.text(max_size=4)
+    values = _json_values | _TRICKY | st.integers(0, 3).map(
+        lambda i: list(_objects(_members(_WIRE)))[i])
+    for _ in range(draw(st.integers(1, 3))):
+        obj = draw(st.sampled_from(list(_objects(body))))
+        at = draw(st.integers(0, max(0, len(obj) - 1)))
+        # retyping keeps the shape, so most of these reach stage 1
+        kind = draw(st.sampled_from(
+            ["drop", "add", "rename", "repeat"] + ["retype"] * 4))
+        if kind == "add" or not obj:
+            obj.insert(at, (draw(names), draw(values)))
+        elif kind == "drop":
+            del obj[at]
+        elif kind == "rename":
+            obj[at] = (draw(names), obj[at][1])
+        elif kind == "repeat":
+            obj.insert(draw(st.integers(0, len(obj))),
+                       (obj[at][0], draw(values | st.just(obj[at][1]))))
+        else:
+            obj[at] = (obj[at][0], draw(values))
+    return _dumps(body).encode()
+
+
+def _body_with(part, name, value):
+    wire = json.loads(json.dumps(_WIRE))
+    {"mandate": wire["mandate"], "payload": wire["mandate"]["payload"],
+     "context": wire["context"]}[part][name] = value
+    return json.dumps(wire).encode()
+
+
+@settings(deadline=None, max_examples=300)
+@given(body=st.binary() | _mutated_request())
+@example(body=_body_with("payload", "currency", "ＵＳＤ"))
+@example(body=_body_with("payload", "currency", "ÄBC"))
+@example(body=_body_with("payload", "currency", "ǅAB"))
+@example(body=_body_with("payload", "currency", "USD\n"))
+@example(body=_body_with("payload", "currency", "uSD"))
+@example(body=_body_with("payload", "currency", "US1"))
+@example(body=_body_with("mandate", "mandate_id", "０" * 32))
+@example(body=_body_with("mandate", "nonce", "٠" * 32))
+@example(body=_body_with("mandate", "nonce", "0123456789ABCDEF" * 2))
+@example(body=_body_with("mandate", "context_hash", "A" * 64))
+@example(body=_body_with("mandate", "mandate_id", "0" * 31 + "\n"))
+@example(body=_body_with("mandate", "context_hash", "0" * 32))
+@example(body=_body_with("mandate", "mandate_id", 7))
+@example(body=_body_with("mandate", "nonce", "\ud800" * 32))
+@example(body=_body_with("mandate", "key_id", "\udc80"))
+@example(body=_body_with("context", "scope", "\ud800"))
+@example(body=_dumps(_members(_WIRE)).encode())
+def test_wire_path_decides_as_before(body):
+    assert (_checked(lambda b: request_from_wire(
+                mandate_module.decode_json(b)),
+                lambda r: request_problem(r) is None, body)
+            == _checked(_oracle_request, _oracle_shaped, body))
 
 
 @settings(deadline=None)

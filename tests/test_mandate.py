@@ -20,14 +20,13 @@ from ztrv import (
     canonical_encode,
     hash_context_fields,
     issue_mandate,
-    mandate_from_wire,
-    mandate_to_wire,
     request_from_wire,
     request_to_wire,
     verify_signature,
 )
 from ztrv._ed25519 import ENGINE, _CryptographyEngine
-from ztrv.mandate import context_problem, mandate_problem, request_problem
+from ztrv.mandate import (context_problem, mandate_problem, request_problem,
+                          signing_bytes)
 
 from conftest import T0
 
@@ -310,11 +309,16 @@ def test_request_problem_requires_both_parts(issuer, context):
 def test_mandate_wire_roundtrip(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(4999, "USD"),
                             now=T0, rng=random.Random(13))
-    wire = mandate_to_wire(mandate)
-    assert set(wire) == {"mandate_id", "nonce", "issued_at", "context_hash",
-                         "payload", "key_id", "signature"}
-    assert base64.b64decode(wire["signature"], validate=True) == mandate.signature
-    assert mandate_from_wire(wire) == mandate
+    wire = request_to_wire(VerificationRequest(mandate, context))
+    assert set(wire["mandate"]) == {"mandate_id", "nonce", "issued_at",
+                                    "context_hash", "payload", "key_id",
+                                    "signature"}
+    assert set(wire["mandate"]["payload"]) == {"amount", "currency"}
+    assert set(wire["context"]) == {"task_id", "agent_id", "merchant_id",
+                                    "scope"}
+    assert (base64.b64decode(wire["mandate"]["signature"], validate=True)
+            == mandate.signature)
+    assert request_from_wire(wire).mandate == mandate
 
 
 def test_request_wire_roundtrip(issuer, context, make_request):
@@ -419,6 +423,134 @@ def test_keystore_rejects_bad_entries(tmp_path):
     path.write_text('["list"]')
     with pytest.raises(WireFormatError):
         Keystore.from_file(path)
+
+
+def test_keystore_file_names_the_entry_it_refuses(tmp_path, issuer):
+    good = base64.b64encode(issuer.public_key).decode()
+    path = tmp_path / "ks.json"
+    for text, named in (('{"": "%s"}' % good, "keystore['']"),
+                        ('{"k": 7}', "keystore['k']"),
+                        ('{"k": "%s"}' % ("A" * 43 + "="), "keystore['k']")):
+        path.write_text(text)
+        with pytest.raises(WireFormatError) as info:
+            Keystore.from_file(path)
+        assert named in str(info.value)
+
+
+def test_keystore_file_refuses_a_repeated_key_id(tmp_path, issuer):
+    # json would keep the second entry and drop the first without a word
+    other = IssuerKey.generate("other", rng=random.Random(15))
+    path = tmp_path / "ks.json"
+    path.write_text('{"k": "%s", "k": "%s"}' % (
+        base64.b64encode(issuer.public_key).decode(),
+        base64.b64encode(other.public_key).decode()))
+    with pytest.raises(WireFormatError, match="repeated name 'k'"):
+        Keystore.from_file(path)
+
+
+# Edwards arithmetic on the curve -x^2 + y^2 = 1 + d x^2 y^2 over GF(p),
+# to derive the points of small order independently of the code under test
+_P = 2 ** 255 - 19
+_D = -121665 * pow(121666, -1, _P) % _P
+
+
+def _sqrt(a):
+    """A square root of ``a`` mod p, or None (RFC 8032 §5.1.3)."""
+    a %= _P
+    x = pow(a, (_P + 3) // 8, _P)
+    if x * x % _P != a:
+        x = x * pow(2, (_P - 1) // 4, _P) % _P
+    return x if x * x % _P == a else None
+
+
+def _add(p, q):
+    (x1, y1), (x2, y2) = p, q
+    t = _D * x1 * x2 * y1 * y2
+    return ((x1 * y2 + x2 * y1) * pow(1 + t, -1, _P) % _P,
+            (y1 * y2 + x1 * x2) * pow(1 - t, -1, _P) % _P)
+
+
+def _small_order_ys():
+    """The y of each of the 8 points whose order divides 8.
+
+    2T has y = 0, so order 4, exactly when y^2 = -x^2; with the curve
+    equation that is d y^4 + 2 y^2 - 1 = 0, so y^2 = (-1 ± sqrt(1 + d)) / d.
+    """
+    root = _sqrt(1 + _D)
+    for y2 in ((root - 1) * pow(_D, -1, _P), (-root - 1) * pow(_D, -1, _P)):
+        y = _sqrt(y2)
+        x = y and _sqrt((y * y - 1) * pow(_D * y * y + 1, -1, _P))
+        if x:
+            break
+    points = [(0, 1)]
+    for _ in range(8):
+        points.append(_add(points[-1], (x, y)))
+    assert points[8] == (0, 1) and points[4] != (0, 1)  # (x, y) has order 8
+    return {y for _, y in points}
+
+
+# libsodium's has_small_order blocklist, which compares with the sign bit
+# masked: the 5 y of small order, and p and p + 1, which are 0 and 1 again
+_SMALL_ORDER_KEYS = sorted(
+    y.to_bytes(32, "little") for y in _small_order_ys() | {_P, _P + 1})
+_NON_CANONICAL_KEYS = [y.to_bytes(32, "little") for y in range(_P, 1 << 255)]
+
+
+def _with_sign(key, sign):
+    return key[:31] + bytes([key[31] | sign << 7])
+
+
+def test_small_order_blocklist_has_libsodiums_seven_encodings():
+    assert len(_SMALL_ORDER_KEYS) == 7
+    assert bytes(32) in _SMALL_ORDER_KEYS and len(_NON_CANONICAL_KEYS) == 19
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+def test_keystore_refuses_weak_keys(sign):
+    for key in _SMALL_ORDER_KEYS + _NON_CANONICAL_KEYS:
+        with pytest.raises(ValueError, match="small order|canonical"):
+            Keystore().add("k", _with_sign(key, sign))
+        with pytest.raises(ValueError):
+            Keystore({"k": _with_sign(key, sign)})
+
+
+def test_keystore_accepts_generated_keys():
+    rng = random.Random(16)
+    keystore = Keystore()
+    for i in range(1_000):
+        key = IssuerKey.generate(f"k{i}", rng=rng)
+        keystore.add(key.key_id, key.public_key)
+    assert len(keystore) == 1_000
+
+
+def test_zero_key_forgery_cannot_enter_a_keystore(tmp_path, context):
+    """The all-zero key is a point of order 4.  Under the cryptography
+    engine, a signature R of small order, S = 0 forges mandates for it with
+    no secret; the keystore is where the key is stopped."""
+    engine = _CryptographyEngine()
+    forged = None
+    rng = random.Random(17)
+    for _ in range(200):
+        mandate = Mandate(
+            mandate_id="%032x" % rng.getrandbits(128),
+            nonce="%032x" % rng.getrandbits(128), issued_at=T0,
+            context_hash=hash_context_fields(context),
+            payload=PaymentPayload(999_999, "USD"), key_id="k",
+            signature=b"")
+        message = signing_bytes(mandate)
+        forged = next((R for R in _SMALL_ORDER_KEYS
+                       if engine.verify(bytes(32), R + bytes(32), message)),
+                      None)
+        if forged is not None:
+            break
+    assert forged is not None, "the engine alone no longer lets it through"
+    path = tmp_path / "ks.json"
+    path.write_text('{"k": "%s"}' % base64.b64encode(bytes(32)).decode())
+    with pytest.raises(WireFormatError,
+                       match=r"keystore\['k'\]: .*small order"):
+        Keystore.from_file(path)
+    with pytest.raises(ValueError, match="small order"):
+        Keystore({"k": bytes(32)})
 
 
 def test_issuer_key_requires_32_byte_seed():
