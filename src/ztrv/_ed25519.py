@@ -23,13 +23,29 @@ SECRET_KEY_LEN = 64  # libsodium secret key = seed || public key
 SIGNATURE_LEN = 64
 
 _P = 2 ** 255 - 19
-# The y of each point of order 1, 2, 4 or 8.  libsodium's has_small_order
-# blocks these five and p, p + 1, which the canonical check refuses first.
-# Under an engine that checks no key, a key A of small order takes the
-# signature R = -[k]A, S = 0 for any message whose k falls in the right
-# class: anyone can forge.
 _Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
-_SMALL_ORDER_Y = frozenset({0, 1, _Y8, _P - _Y8, _P - 1})
+
+
+def _encodings(ys) -> frozenset[bytes]:
+    """The 32-byte encodings of each y, with either sign bit."""
+    return frozenset((y | sign << 255).to_bytes(32, "little")
+                     for y in ys for sign in (0, 1))
+
+
+# y >= p: 19 values, which libsodium's canonical check refuses
+_NON_CANONICAL = _encodings(range(_P, 1 << 255))
+# the y of each point of order 1, 2, 4 or 8, which libsodium's
+# has_small_order refuses (with p and p + 1, refused above).  Under an
+# engine that checks no key, a key A of small order takes the signature
+# R = -[k]A, S = 0 for any message whose k falls in the right class: anyone
+# can forge.  An R of small order lets a key's holder sign with r = 0 a
+# signature libsodium refuses and other engines accept.
+_SMALL_ORDER = _encodings({0, 1, _Y8, _P - _Y8, _P - 1})
+# The 48 encodings libsodium refuses as a public key and as a signature's R;
+# ``mandate.verify_signature`` refuses them on every engine.  Chalkias,
+# Garillot and Nikolaenko, "Taming the many EdDSAs" (SSR 2020,
+# https://eprint.iacr.org/2020/1244), catalogue how engines differ on them.
+WEAK_ENCODINGS = _NON_CANONICAL | _SMALL_ORDER
 
 
 def public_key_problem(public_key: bytes) -> str | None:
@@ -40,10 +56,9 @@ def public_key_problem(public_key: bytes) -> str | None:
     """
     if not isinstance(public_key, bytes) or len(public_key) != PUBLIC_KEY_LEN:
         return "public key must be 32 raw bytes"
-    y = int.from_bytes(public_key, "little") & ((1 << 255) - 1)
-    if y >= _P:
+    if public_key in _NON_CANONICAL:
         return "public key is not a canonical encoding"
-    if y in _SMALL_ORDER_Y:
+    if public_key in _SMALL_ORDER:
         return "public key is a point of small order"
     return None
 

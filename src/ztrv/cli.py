@@ -234,7 +234,9 @@ def cmd_keygen(args) -> int:
     secret_path = out_path.with_name(out_path.name + ".secret")
     secret_obj = {"key_id": key.key_id,
                   "seed": base64.b64encode(key.seed).decode("ascii")}
-    fd = os.open(secret_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    # a new file: an old one would keep its mode, and its open readers
+    secret_path.unlink(missing_ok=True)
+    fd = os.open(secret_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         json.dump(secret_obj, fh, indent=2)
         fh.write("\n")

@@ -92,10 +92,10 @@ def parse_listen_address(address: str) -> tuple[str, int]:
     if ":" in host or "[" in host:
         raise ConfigError("listen_address host must be an IPv4 address or "
                           "host name")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigError("listen_address port must be an integer") from None
+    # int() would also read "8_0", "+80", " 80" and non-ASCII digits
+    if not (port_text.isascii() and port_text.isdigit()):
+        raise ConfigError("listen_address port must be ASCII digits")
+    port = int(port_text)
     if not 0 <= port <= 65535:
         raise ConfigError("listen_address port out of range")
     return host, port
@@ -224,8 +224,12 @@ class _WallClock:
     """Unix milliseconds from the system clock, never decreasing.
 
     A step back of the system clock (an NTP adjustment) is held at the
-    latest reading: going back could make a stale mandate fresh again after
-    its nonce was swept from the registry.
+    latest reading, so no request's freshness is judged at an earlier
+    instant than an earlier request's was.  What keeps a stale mandate from
+    being accepted again after its nonce was evicted is the registry's
+    high-water time: a claim dated back is taken at the latest claim's
+    instant and refused past the mandate's last fresh instant (see
+    ``registry``).
     """
 
     def __init__(self):

@@ -24,7 +24,8 @@ try:
 except ImportError:
     from _sha2 import sha256  # CPython 3.12 on
 
-from ._ed25519 import ENGINE, SEED_LEN, SIGNATURE_LEN, public_key_problem
+from ._ed25519 import (ENGINE, SEED_LEN, SIGNATURE_LEN, WEAK_ENCODINGS,
+                       public_key_problem)
 
 CONTEXT_FIELDS = ("task_id", "agent_id", "merchant_id", "scope")
 
@@ -247,7 +248,13 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
 
 
 def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
-    return ENGINE.verify(public_key, mandate.signature, signing_bytes(mandate))
+    """Whether ``mandate.signature`` is ``public_key``'s signature of the
+    mandate, by libsodium's rule on every engine: a key or an R that is one
+    of ``WEAK_ENCODINGS`` is refused before the engine is asked."""
+    signature = mandate.signature
+    if public_key in WEAK_ENCODINGS or signature[:32] in WEAK_ENCODINGS:
+        return False
+    return ENGINE.verify(public_key, signature, signing_bytes(mandate))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,22 @@ entry had already expired, and a caller that names its last fresh instant
 has such a claim refused instead of granted a second time.
 
 Each entry is one 24-byte record: the 16-byte digest of its key and its
-expiry as an 8-byte big-endian integer.  The digest is a BLAKE2b keyed with
-a secret each registry draws from ``os.urandom``, the role SipHash's
-per-process key plays for a dict: whoever picks keys (an issuer picks its
-nonces) cannot compute their digests, so cannot aim them at one bucket and
-make every claim scan it.  Records are appended, in claim order, to one of
-4,096 ``bytearray`` buckets picked by the digest's top 12 bits; a lookup is
-a ``find`` of the digest in its bucket that only counts a hit starting on a
-record boundary.  One ``array('q')`` ring holds ``expiry << 12 | bucket``
-for each claim, in claim order.  Before it looks a key up, every claim pops
-the ring entries that have expired by its instant and trims the expired
-prefix of each bucket they name.  That is O(expired) work, so it runs on
-every claim.  While claims share one TTL, as the verifier's do, claim order
-is expiry order in the ring and in each bucket, and the stored entries are
-exactly the live ones.
+expiry as an 8-byte big-endian integer, the only place the expiry is kept.
+The digest is a BLAKE2b keyed with a secret each registry draws from
+``os.urandom``, the role SipHash's per-process key plays for a dict:
+whoever picks keys (an issuer picks its nonces) cannot compute their
+digests, so cannot aim them at one bucket and make every claim scan it.
+Records are appended, in claim order, to one of 4,096 ``bytearray`` buckets
+picked by the digest's top 12 bits; a lookup is a ``find`` of the digest in
+its bucket that only counts a hit starting on a record boundary.  One
+``array('H')`` ring holds the bucket id of each claim, in claim order, so
+the k-th ring entry naming a bucket stands for that bucket's k-th record,
+and the entries not yet popped count the stored records.  Before it looks a
+key up, every claim pops the ring front while the front record of the
+bucket it names has expired by the claim's instant, trimming that one
+record per pop.  That is O(expired) work, so it runs on every claim.  While
+claims share one TTL, as the verifier's do, claim order is expiry order,
+and the stored entries are exactly the live ones.
 
 Two keys whose 128-bit digests are equal act as one key.  That can only
 turn a first use into a replay (fail closed), at odds of about 2**-128 per
@@ -48,7 +50,7 @@ from _blake2 import blake2b
 # Bytes tracemalloc sees per live entry in a registry churning at 100,000
 # live entries under one TTL: the record, its ring entry, and the slack of
 # the buckets and the ring (tests/test_registry.py checks it).
-PER_ENTRY_BYTES = 41
+PER_ENTRY_BYTES = 33
 
 _DIGEST_BYTES = 16
 _RECORD = struct.Struct(">16sq")  # key digest, expiry
@@ -56,10 +58,9 @@ _RECORD_BYTES = _RECORD.size
 # _expiry_at(bucket, at + _DIGEST_BYTES)[0]: the expiry of the record at `at`
 _expiry_at = struct.Struct(">q").unpack_from
 _BUCKET_BITS = 12
-_BUCKET_MASK = (1 << _BUCKET_BITS) - 1
 
-# Instants and TTLs below 2**50 ms (~35,700 years) keep a ring entry,
-# expiry << 12, within 63 bits; a claim past that raises before it stores
+# Instants and TTLs below 2**50 ms (~35,700 years) keep a record's expiry
+# within its signed 8 bytes; a claim past that raises before it stores
 # anything.
 MAX_TTL_MS = 1 << 50
 
@@ -77,11 +78,13 @@ class NonceRegistry:
 
     Every decision is exact for any mix of TTLs: a lookup compares the
     stored expiry with the claim instant.  Only removal depends on claim
-    order.  Eviction stops at the first live ring entry, and a bucket trim
-    at the first live record, so with mixed TTLs an expired entry claimed
-    after a live one may stay (counted in ``len`` and ``stats``, but absent
-    to ``consume_once``) until an eviction reaches it.  With one TTL,
-    eviction is exact.
+    order.  Eviction stops at the first ring entry whose record is live, so
+    with mixed TTLs an expired entry claimed after a live one may stay
+    (counted in ``len`` and ``stats``, but absent to ``consume_once``) until
+    an eviction reaches it.  A claim that finds such an expired record gives
+    it the new expiry in place and counts the old claim as evicted; until
+    that record expires again, it can hold back eviction at its bucket's
+    front.  With one TTL, neither happens and eviction is exact.
     """
 
     def __init__(self):
@@ -90,11 +93,10 @@ class NonceRegistry:
         self._keyed = blake2b(digest_size=_DIGEST_BYTES, key=os.urandom(16))
         # records in claim order; a bucket is made by its first claim
         self._buckets: list[bytearray | None] = [None] * (1 << _BUCKET_BITS)
-        # expiry << _BUCKET_BITS | bucket per claim, in claim order, from
+        # the bucket id of each stored record, in claim order, from
         # _ring_start on; the entries before it have been evicted
-        self._ring = array("q")
+        self._ring = array("H")
         self._ring_start = 0
-        self._count = 0
         self._peak = 0
         self._evicted = 0
         self._high_water: int | None = None
@@ -134,35 +136,36 @@ class NonceRegistry:
                 return False
             if last_fresh is not None and now > last_fresh:
                 return None
-            expiry = now + ttl_ms
             # an expiry too large to store raises here, before anything is stored
-            record = _RECORD.pack(digest, expiry)
-            self._ring.append(expiry << _BUCKET_BITS | index)
+            record = _RECORD.pack(digest, now + ttl_ms)
+            if at >= 0:
+                # expired but stored behind a live entry of a longer TTL:
+                # the record takes the new expiry and keeps its ring entry
+                bucket[at:at + _RECORD_BYTES] = record
+                self._evicted += 1
+                return True
             if bucket is None:
                 bucket = self._buckets[index] = bytearray()
-            elif at >= 0:
-                # expired, claimed before a live entry of a longer TTL
-                del bucket[at:at + _RECORD_BYTES]
-                self._count -= 1
-                self._evicted += 1
             bucket += record
-            self._count += 1
-            if self._count > self._peak:
-                self._peak = self._count
+            self._ring.append(index)
+            live = len(self._ring) - self._ring_start
+            if live > self._peak:
+                self._peak = live
             return True
 
     def stats(self) -> RegistryStats:
         with self._lock:
+            live = len(self._ring) - self._ring_start
             return RegistryStats(
-                live_count=self._count,
+                live_count=live,
                 peak_count=self._peak,
                 evicted_total=self._evicted,
-                bytes_estimate=self._count * PER_ENTRY_BYTES,
+                bytes_estimate=live * PER_ENTRY_BYTES,
             )
 
     def __len__(self) -> int:
         with self._lock:
-            return self._count
+            return len(self._ring) - self._ring_start
 
     def _records(self) -> dict[bytes, int]:
         """Every stored entry as {key digest: expiry}; for tests."""
@@ -172,29 +175,20 @@ class NonceRegistry:
 
     def _evict_locked(self, now: int) -> None:
         ring = self._ring
-        start = self._ring_start
-        end = len(ring)
-        # a ring entry has expired by now iff it is at most this
-        limit = now << _BUCKET_BITS | _BUCKET_MASK
-        if start == end or ring[start] > limit:
-            return  # nothing has expired: no bucket is touched
         buckets = self._buckets
-        removed = 0
-        while start < end and ring[start] <= limit:
-            bucket = buckets[ring[start] & _BUCKET_MASK]
+        first = start = self._ring_start
+        end = len(ring)
+        # the ring front stands for the front record of the bucket it names
+        while start < end:
+            bucket = buckets[ring[start]]
+            if _expiry_at(bucket, _DIGEST_BYTES)[0] > now:
+                break
+            del bucket[:_RECORD_BYTES]
             start += 1
-            cut = 0
-            while (cut < len(bucket) and
-                   _expiry_at(bucket, cut + _DIGEST_BYTES)[0] <= now):
-                cut += _RECORD_BYTES
-            if cut:
-                del bucket[:cut]
-                removed += cut // _RECORD_BYTES
+        self._evicted += start - first
         # drop the evicted ring entries once they are an eighth of the ring:
         # each compaction moves at most 7 live entries per evicted one
         if start * 8 >= end:
             del ring[:start]
             start = 0
         self._ring_start = start
-        self._count -= removed
-        self._evicted += removed

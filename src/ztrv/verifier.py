@@ -128,8 +128,8 @@ class VerifierConfig:
         for name in ("window", "skew_tolerance"):
             if not math.isfinite(getattr(self, name) * 1000):
                 raise ValueError(f"{name} must be finite")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if self.window_ms < 1:
+            raise ValueError("window must be at least 1 ms")
         if self.skew_tolerance < 0:
             raise ValueError("skew_tolerance must be non-negative")
         if self.nonce_ttl_ms > MAX_TTL_MS:

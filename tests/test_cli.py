@@ -94,6 +94,17 @@ def test_keygen_writes_keystore_and_secret(tmp_path):
     assert IssuerKey.from_seed("kid-7", seed).public_key == public
 
 
+def test_keygen_over_a_readable_secret_leaves_it_private(tmp_path):
+    # the mode os.open is given applies only to a file it creates
+    out = tmp_path / "ks.json"
+    secret_path = tmp_path / "ks.json.secret"
+    secret_path.write_text("old")
+    secret_path.chmod(0o644)
+    assert main(["keygen", "--out", str(out), "--key-id", "k"]) == 0
+    assert stat.S_IMODE(secret_path.stat().st_mode) == 0o600
+    assert json.loads(secret_path.read_text())["key_id"] == "k"
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommands (tiny instances)
 # ---------------------------------------------------------------------------

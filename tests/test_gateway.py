@@ -230,7 +230,9 @@ def test_load_config_refuses_a_repeated_name(tmp_path):
 
 def test_parse_listen_address():
     assert parse_listen_address("0.0.0.0:8080") == ("0.0.0.0", 8080)
-    for bad in ("nope", ":80", "h:port", "h:70000"):
+    # int() reads each of the last five as 80
+    for bad in ("nope", ":80", "h:port", "h:70000", "127.0.0.1:8_0",
+                "h:+80", "h: 80", "h:80 ", "h:\u0668\u0660"):
         with pytest.raises(ConfigError):
             parse_listen_address(bad)
 

@@ -4,9 +4,10 @@ import hashlib
 import json
 import random
 import struct
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ztrv import (
@@ -24,11 +25,27 @@ from ztrv import (
     request_to_wire,
     verify_signature,
 )
+from ztrv import mandate as mandate_module
 from ztrv._ed25519 import ENGINE, _CryptographyEngine
 from ztrv.mandate import (context_problem, mandate_problem, request_problem,
                           signing_bytes)
 
 from conftest import T0
+
+# every engine this host has; verify_signature must answer alike on each
+ENGINES = {"cryptography": _CryptographyEngine()}
+if ENGINE.name == "libsodium":
+    ENGINES["libsodium"] = ENGINE
+
+
+@pytest.fixture(params=["libsodium", "cryptography"])
+def engine(request, monkeypatch):
+    """Runs the test with ``mandate.ENGINE`` set to each engine in turn."""
+    if request.param not in ENGINES:
+        pytest.skip("libsodium is not on this host")
+    monkeypatch.setattr(mandate_module, "ENGINE", ENGINES[request.param])
+    return ENGINES[request.param]
+
 
 # Frozen before the implementation existed, using an external SHA-256 tool
 # over the hand-written framed byte string for ("t1","a1","m1","s1").
@@ -155,6 +172,7 @@ def test_canonical_encode_is_injective(a, data):
 # issue / verify
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("engine")
 def test_issue_then_verify_roundtrip(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(100, "USD"),
                             now=T0, rng=random.Random(1))
@@ -187,6 +205,7 @@ def test_issue_rejects_invalid_context(issuer):
         issue_mandate(issuer, bad, PaymentPayload(5, "USD"), now=T0)
 
 
+@pytest.mark.usefixtures("engine")
 def test_verify_rejects_tampered_amount(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(4999, "USD"),
                             now=T0, rng=random.Random(3))
@@ -195,6 +214,7 @@ def test_verify_rejects_tampered_amount(issuer, context):
     assert not verify_signature(tampered, issuer.public_key)
 
 
+@pytest.mark.usefixtures("engine")
 def test_verify_rejects_any_field_mutation(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(4999, "USD"),
                             now=T0, rng=random.Random(4))
@@ -209,6 +229,7 @@ def test_verify_rejects_any_field_mutation(issuer, context):
         assert not verify_signature(mutant, issuer.public_key)
 
 
+@pytest.mark.usefixtures("engine")
 def test_verify_rejects_wrong_key(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(1, "USD"),
                             now=T0, rng=random.Random(5))
@@ -216,6 +237,7 @@ def test_verify_rejects_wrong_key(issuer, context):
     assert not verify_signature(mandate, other.public_key)
 
 
+@pytest.mark.usefixtures("engine")
 def test_verify_malformed_signature_is_false_not_raise(issuer, context):
     mandate = issue_mandate(issuer, context, PaymentPayload(1, "USD"),
                             now=T0, rng=random.Random(7))
@@ -226,6 +248,7 @@ def test_verify_malformed_signature_is_false_not_raise(issuer, context):
     assert not verify_signature(mandate, b"\x00" * 5)
 
 
+@pytest.mark.usefixtures("engine")
 def test_signature_flipped_bit_in_encoding_fails(issuer, context):
     # single-byte mutations of the signed bytes must flip verification
     mandate = issue_mandate(issuer, context, PaymentPayload(4999, "USD"),
@@ -523,12 +546,10 @@ def test_keystore_accepts_generated_keys():
     assert len(keystore) == 1_000
 
 
-def test_zero_key_forgery_cannot_enter_a_keystore(tmp_path, context):
-    """The all-zero key is a point of order 4.  Under the cryptography
-    engine, a signature R of small order, S = 0 forges mandates for it with
-    no secret; the keystore is where the key is stopped."""
-    engine = _CryptographyEngine()
-    forged = None
+def _zero_key_forgery(context):
+    """A 999,999 USD mandate under the all-zero key, a point of order 4,
+    signed with no secret: R of small order and S = 0, which the
+    cryptography engine by itself accepts for about one message in four."""
     rng = random.Random(17)
     for _ in range(200):
         mandate = Mandate(
@@ -538,12 +559,31 @@ def test_zero_key_forgery_cannot_enter_a_keystore(tmp_path, context):
             payload=PaymentPayload(999_999, "USD"), key_id="k",
             signature=b"")
         message = signing_bytes(mandate)
-        forged = next((R for R in _SMALL_ORDER_KEYS
-                       if engine.verify(bytes(32), R + bytes(32), message)),
-                      None)
-        if forged is not None:
-            break
-    assert forged is not None, "the engine alone no longer lets it through"
+        for R in _SMALL_ORDER_KEYS:
+            if ENGINES["cryptography"].verify(bytes(32), R + bytes(32),
+                                              message):
+                return dataclasses.replace(mandate, signature=R + bytes(32))
+    raise AssertionError("the engine alone no longer lets it through")
+
+
+_L = 2 ** 252 + 27742317777372353535851937790883648493  # the group order
+
+
+def _sign_with_r_zero(seed, public_key, message):
+    """RFC 8032 signing with the nonce r = 0: R is the identity's encoding
+    and S = k * a mod L, which the cofactorless equation holds for."""
+    digest = hashlib.sha512(seed).digest()
+    a = int.from_bytes(digest[:32], "little") & ((1 << 254) - 8) | 1 << 254
+    R = (1).to_bytes(32, "little")
+    k = int.from_bytes(hashlib.sha512(R + public_key + message).digest(),
+                       "little") % _L
+    return R + (k * a % _L).to_bytes(32, "little")
+
+
+def test_zero_key_forgery_cannot_enter_a_keystore(tmp_path, context):
+    """Under the cryptography engine the all-zero key takes forged
+    mandates; the keystore is where the key is stopped."""
+    _zero_key_forgery(context)
     path = tmp_path / "ks.json"
     path.write_text('{"k": "%s"}' % base64.b64encode(bytes(32)).decode())
     with pytest.raises(WireFormatError,
@@ -551,6 +591,68 @@ def test_zero_key_forgery_cannot_enter_a_keystore(tmp_path, context):
         Keystore.from_file(path)
     with pytest.raises(ValueError, match="small order"):
         Keystore({"k": bytes(32)})
+
+
+def test_zero_key_forgery_is_refused_on_every_engine(engine, context):
+    # given as a raw key, without going through a keystore
+    forged = _zero_key_forgery(context)
+    assert not verify_signature(forged, bytes(32))
+
+
+def test_identity_r_signature_is_refused_on_every_engine(engine, issuer,
+                                                         context):
+    # the key's holder signs with r = 0: the cofactorless equation holds,
+    # so the cryptography engine by itself accepts; libsodium refuses R
+    mandate = issue_mandate(issuer, context, PaymentPayload(1, "USD"),
+                            now=T0, rng=random.Random(18))
+    message = signing_bytes(mandate)
+    signature = _sign_with_r_zero(issuer.seed, issuer.public_key, message)
+    assert ENGINES["cryptography"].verify(issuer.public_key, signature,
+                                          message)
+    assert not verify_signature(
+        dataclasses.replace(mandate, signature=signature), issuer.public_key)
+
+
+_WEAK_KEYS = [_with_sign(key, sign) for sign in (0, 1)
+              for key in _SMALL_ORDER_KEYS + _NON_CANONICAL_KEYS]
+_SIGNATURES = ("valid", "r = 0", "S + L", "weak R", "weak R, S = 0")
+
+
+@pytest.mark.skipif("libsodium" not in ENGINES,
+                    reason="libsodium is not on this host")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), data=st.data())
+def test_engines_answer_alike_on_mutated_signatures(seed, data):
+    key = IssuerKey.from_seed("k", seed)
+    context = ExecutionContext(task_id="t1", agent_id="a1", merchant_id="m1",
+                               scope="s1")
+    mandate = issue_mandate(key, context, PaymentPayload(1, "USD"), now=T0,
+                            rng=random.Random(data.draw(st.integers(0, 99))))
+    public_key = data.draw(st.one_of(st.just(key.public_key),
+                                     st.sampled_from(_WEAK_KEYS)))
+    R, S = mandate.signature[:32], mandate.signature[32:]
+    kind = data.draw(st.sampled_from(_SIGNATURES))
+    if kind == "r = 0":
+        signature = _sign_with_r_zero(seed, public_key, signing_bytes(mandate))
+        R, S = signature[:32], signature[32:]
+    elif kind == "S + L":
+        S = (int.from_bytes(S, "little") + _L).to_bytes(32, "little")
+    elif kind.startswith("weak R"):
+        R = data.draw(st.sampled_from(_WEAK_KEYS))
+        if kind.endswith("S = 0"):
+            S = bytes(32)
+    flipped = bytearray(public_key + R + S)
+    for bit in data.draw(st.lists(st.integers(0, 8 * 96 - 1), max_size=2)):
+        flipped[bit // 8] ^= 1 << bit % 8
+    public_key = bytes(flipped[:32])
+    mandate = dataclasses.replace(mandate, signature=bytes(flipped[32:]))
+    if data.draw(st.booleans()):
+        mandate = dataclasses.replace(mandate, issued_at=T0 + 1)
+    answers = set()
+    for each in ENGINES.values():
+        with mock.patch.object(mandate_module, "ENGINE", each):
+            answers.add(verify_signature(mandate, public_key))
+    assert len(answers) == 1
 
 
 def test_issuer_key_requires_32_byte_seed():

@@ -368,8 +368,10 @@ def test_decisions_and_live_set_match_reference_for_any_ttls(ops):
         key = f"k{k}"
         assert (reg.consume_once(key, now, ttl)
                 == ref.consume_once(key, now, ttl)), f"step {step}"
-        live = {d for d, exp in reg._records().items() if exp > now}
+        records = reg._records()
+        live = {d for d, exp in records.items() if exp > now}
         assert live == ref.live(now), f"step {step}"
+        assert len(reg) == len(records), f"step {step}"
 
 
 @pytest.mark.parametrize("ttl", [1, 150, 700, 2_000])

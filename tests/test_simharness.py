@@ -333,6 +333,17 @@ def test_ttl_sweep_plateau_at_duration():
     assert points[0].peak_entries == points[1].peak_entries == 500
 
 
+def test_ttl_sweep_peak_is_rate_times_window_over_a_long_history():
+    # state bounded by concurrency, not history, at every window: 900 s is
+    # 3 to 180 windows long, and each peak is rate x window plus the claim
+    # the TTL's extra millisecond keeps live
+    rate, duration, windows = 20, 900, [5, 30, 60, 300]
+    points = ttl_sweep(windows, rate=rate, duration=duration, seed=42)
+    assert ([point.peak_entries for point in points]
+            == [rate * window + 1 for window in windows])
+    assert max(point.peak_entries for point in points) < rate * duration / 2
+
+
 # ---------------------------------------------------------------------------
 # throughput bench
 # ---------------------------------------------------------------------------

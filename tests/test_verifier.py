@@ -256,8 +256,10 @@ def test_mode_parse():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        VerifierConfig(window=0)
+    # 0.0004 s is positive but rounds to a window of 0 ms
+    for bad in (0, 0.0004):
+        with pytest.raises(ValueError, match="window"):
+            VerifierConfig(window=bad)
     with pytest.raises(ValueError):
         VerifierConfig(skew_tolerance=-1)
     for bad in (math.nan, math.inf, -math.inf, 1e306):
