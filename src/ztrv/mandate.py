@@ -11,6 +11,7 @@ reads JSON: the request bodies, the keystore and the gateway's config.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 # CPython's own SHA-256, which hashlib falls back to: it loads no OpenSSL
 # and holds the GIL on short inputs, so a verify releases the GIL only for
-# the Ed25519 check
+# an Ed25519 check, once per memo miss
 try:
     from _sha256 import sha256  # CPython 3.11
 except ImportError:
@@ -247,14 +248,18 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
                    key_id=key.key_id, signature=signature)
 
 
+def _weak(public_key: bytes, signature: bytes) -> bool:
+    # libsodium refuses these before any arithmetic; other engines may not
+    return public_key in WEAK_ENCODINGS or signature[:32] in WEAK_ENCODINGS
+
+
 def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
     """Whether ``mandate.signature`` is ``public_key``'s signature of the
     mandate, by libsodium's rule on every engine: a key or an R that is one
     of ``WEAK_ENCODINGS`` is refused before the engine is asked."""
     signature = mandate.signature
-    if public_key in WEAK_ENCODINGS or signature[:32] in WEAK_ENCODINGS:
-        return False
-    return ENGINE.verify(public_key, signature, signing_bytes(mandate))
+    return (not _weak(public_key, signature)
+            and ENGINE.verify(public_key, signature, signing_bytes(mandate)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +364,30 @@ def request_from_wire(obj: Any) -> VerificationRequest:
 # Keystore
 # ---------------------------------------------------------------------------
 
+# distinct signatures a keystore remembers the engine's answer for.  Stage 1
+# bounds every signed field, so an entry keeps at most ~9 KB alive (CPython
+# caps an int at 4,300 digits): ~2.3 MB in all; ~120 KB for real mandates.
+SIGNATURE_MEMO_ENTRIES = 256
+
+
+def _ask_engine(engine, public_key: bytes, signature: bytes,
+                message: bytes) -> bool:
+    # ``engine.verify`` is looked up on every call, never bound once: a
+    # probe or a test may replace it on the engine
+    return engine.verify(public_key, signature, message)
+
+
 class Keystore:
-    """Maps key_id to a raw 32-byte Ed25519 public key."""
+    """Maps key_id to a raw 32-byte Ed25519 public key, and remembers the
+    signature rule's answer for the last ``SIGNATURE_MEMO_ENTRIES``
+    distinct signatures it verified."""
 
     def __init__(self, keys: Mapping[str, bytes] | None = None):
         self._keys: dict[str, bytes] = {}
+        # Ed25519 under one rule is a pure function of these four, so a
+        # remembered answer is the engine's answer, True or False alike.
+        # lru_cache is safe under the GIL; two racing misses both ask.
+        self._memo = functools.lru_cache(SIGNATURE_MEMO_ENTRIES)(_ask_engine)
         if keys:
             for key_id, public in keys.items():
                 self.add(key_id, public)
@@ -380,6 +404,17 @@ class Keystore:
 
     def lookup(self, key_id: str) -> bytes | None:
         return self._keys.get(key_id)
+
+    def verify(self, mandate: Mandate) -> bool:
+        """``verify_signature`` under the key ``mandate.key_id`` names, False
+        for an unknown key_id.  The engine is asked once per distinct
+        (engine, key, signature, signing bytes) while that stays among the
+        last ``SIGNATURE_MEMO_ENTRIES`` asked of this keystore."""
+        public_key = self._keys.get(mandate.key_id)
+        signature = mandate.signature
+        return (public_key is not None and not _weak(public_key, signature)
+                and self._memo(ENGINE, public_key, signature,
+                               signing_bytes(mandate)))
 
     def __len__(self) -> int:
         return len(self._keys)

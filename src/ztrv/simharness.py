@@ -376,7 +376,7 @@ def ttl_sweep(windows: list[float], rate: float, duration: float, *,
         rejected = check(item.request, keystore)[0]
         for config, registry in runs:
             reason = rejected or admit(item.request, item.at_ms, config,
-                                       registry)[0]
+                                       registry, keystore)[0]
             if reason is not Reason.AUTHORIZED:  # a legit-only stream: a bug
                 raise RuntimeError(f"window {config.window:g}: legitimate "
                                    f"request answered {reason.value}")

@@ -29,7 +29,6 @@ from .mandate import (
     VerificationRequest,
     hash_context_fields,
     request_problem,
-    verify_signature,
 )
 from .registry import MAX_TTL_MS, NonceRegistry
 
@@ -152,6 +151,15 @@ class VerifierConfig:
         return self.window_ms + 2 * self.skew_ms + 1
 
 
+def nonce_key(public_key: bytes, nonce: str) -> str:
+    """The registry key a nonce is consumed under.  Scoped by the public key
+    that verified the signature: each issuer picks its own nonces, so one
+    issuer must not burn another's.  Never by key_id, which is not signed
+    and may alias a key.  The key's hex is fixed-width, so no two (key,
+    nonce) pairs share a string."""
+    return "nonce:" + public_key.hex() + ":" + nonce
+
+
 def check(request: VerificationRequest | None,
           keystore: Keystore) -> tuple[Reason | None, int]:
     """Run stages 1-2; returns the reason to reject with (None if both
@@ -165,18 +173,18 @@ def check(request: VerificationRequest | None,
 
     # stage 2: signature over the canonical encoding, under the key named by
     # key_id. An unknown key_id is indistinguishable from a bad signature.
-    mandate = request.mandate
     t0 = time.perf_counter_ns()
-    public_key = keystore.lookup(mandate.key_id)
-    signature_ok = public_key is not None and verify_signature(mandate, public_key)
+    signature_ok = keystore.verify(request.mandate)
     signature_ns = time.perf_counter_ns() - t0
     return None if signature_ok else Reason.INVALID_SIGNATURE, signature_ns
 
 
 def admit(request: VerificationRequest, now: int, config: VerifierConfig,
-          registry: NonceRegistry) -> tuple[Reason, int, int]:
+          registry: NonceRegistry,
+          keystore: Keystore) -> tuple[Reason, int, int]:
     """Run stages 3-5 at time ``now`` (unix ms) on a request ``check``
-    passed; returns the reason and the nanoseconds stages 4 and 5 took."""
+    passed with ``keystore``; returns the reason and the nanoseconds stages
+    4 and 5 took."""
     mandate = request.mandate
     # stage 3: freshness. Expired iff now > issued_at + window + skew, the
     # mandate's last fresh instant; equality is still fresh. Future-dating
@@ -204,8 +212,9 @@ def admit(request: VerificationRequest, now: int, config: VerifierConfig,
     if not config.mode.checks_nonce:
         return Reason.AUTHORIZED, context_ns, 0
     t0 = time.perf_counter_ns()
-    claimed = registry.consume_once("nonce:" + mandate.nonce, now,
-                                    config.nonce_ttl_ms, last_fresh)
+    claimed = registry.consume_once(
+        nonce_key(keystore.lookup(mandate.key_id), mandate.nonce), now,
+        config.nonce_ttl_ms, last_fresh)
     registry_ns = time.perf_counter_ns() - t0
     if claimed is None:
         return Reason.MANDATE_EXPIRED, context_ns, registry_ns
@@ -223,7 +232,8 @@ def verify(request: VerificationRequest | None, now: int,
     reason, signature_ns = check(request, keystore)
     context_ns = registry_ns = 0
     if reason is None:
-        reason, context_ns, registry_ns = admit(request, now, config, registry)
+        reason, context_ns, registry_ns = admit(request, now, config, registry,
+                                                keystore)
     return Decision(
         reason=reason,
         # stage 1 reads nothing of a request it rejects

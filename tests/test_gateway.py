@@ -273,6 +273,35 @@ def test_replay_rejected_with_403_and_no_ledger_entry(gateway, merchant,
     assert merchant.ledger.count(request.mandate.mandate_id) == 1
 
 
+@pytest.mark.parametrize("kind, statuses, reason", [
+    ("replay", [200, 403, 403, 403, 403], "ReplayDetected"),
+    ("bad-signature", [403, 403], "InvalidSignature"),
+])
+def test_resends_ask_the_engine_once(merchant, issuer, make_request,
+                                     monkeypatch, kind, statuses, reason):
+    asked = []
+    engine_verify = mandate_module.ENGINE.verify
+
+    def counting_verify(*args):
+        asked.append(args)
+        return engine_verify(*args)
+
+    monkeypatch.setattr(mandate_module.ENGINE, "verify", counting_verify)
+    # a keystore of its own, whose memo no other test has filled
+    with _gateway_to(f"{merchant.base_url}/fulfill",
+                     Keystore.for_issuers(issuer)) as gw:
+        request = make_request(now=gw.clock.now_ms())
+        if kind == "bad-signature":
+            request = _flip_bit(request)
+        answers = [_post_request(gw.base_url, request) for _ in statuses]
+    assert [status for status, _, _ in answers] == statuses
+    assert all(json.loads(body)["reason"] == reason
+               for status, body, _ in answers if status == 403)
+    assert len(asked) == 1
+    assert merchant.ledger.count(request.mandate.mandate_id) == (
+        kind == "replay")
+
+
 def test_wrong_context_rejected_before_upstream(gateway, merchant,
                                                 make_request):
     request = make_request(now=gateway.clock.now_ms())

@@ -9,6 +9,7 @@ import pytest
 
 from ztrv import (
     ExecutionContext,
+    IssuerKey,
     Keystore,
     Mode,
     NonceRegistry,
@@ -17,10 +18,11 @@ from ztrv import (
     Reason,
     VerificationRequest,
     VerifierConfig,
+    canonical_encode,
     verify,
 )
 from ztrv.registry import MAX_TTL_MS
-from ztrv.verifier import STAGE_TIMINGS, Decision
+from ztrv.verifier import STAGE_TIMINGS, Decision, nonce_key
 
 from conftest import T0
 
@@ -67,6 +69,26 @@ def test_key_id_alias_replay_detected(make_request, issuer, first, second):
     assert verify(naming(first), T0 + 1, FULL, registry, keystore).accepted
     replay = verify(naming(second), T0 + 2, FULL, registry, keystore)
     assert replay.reason is Reason.REPLAY_DETECTED
+
+
+def test_one_issuer_cannot_burn_another_issuers_nonce(make_request, issuer):
+    # B has seen A's mandate and signs one of its own with A's nonce
+    other = IssuerKey.generate("other-issuer", rng=random.Random(0xB0B))
+    keystore = Keystore.for_issuers(issuer, other)
+    mine = make_request()
+    nonce = mine.mandate.nonce
+    theirs = make_request()
+    m = dataclasses.replace(theirs.mandate, nonce=nonce, key_id=other.key_id)
+    m = dataclasses.replace(m, signature=other.sign(canonical_encode(
+        m.mandate_id, nonce, m.issued_at, m.context_hash, m.payload)))
+    theirs = VerificationRequest(m, theirs.context)
+
+    registry = fresh_registry()
+    assert verify(theirs, T0 + 1, FULL, registry, keystore).accepted
+    assert verify(mine, T0 + 2, FULL, registry, keystore).accepted
+    for request in (theirs, mine):
+        assert (verify(request, T0 + 3, FULL, registry, keystore).reason
+                is Reason.REPLAY_DETECTED)
 
 
 def test_stale_mandate_expired(make_request, keystore):
@@ -126,8 +148,8 @@ def test_replay_at_last_fresh_instant_is_detected(make_request, keystore,
 
 
 @pytest.mark.parametrize("skew", [0.0, 5.0])
-def test_claim_overtaken_by_a_later_sweep_is_expired(make_request, keystore,
-                                                     skew):
+def test_claim_overtaken_by_a_later_sweep_is_expired(make_request, issuer,
+                                                     keystore, skew):
     # A is accepted at the earliest instant stage 3 allows, so its entry
     # expires 1 ms after A's last fresh instant. B, verified 1 ms after
     # that, sweeps A's nonce. A replay of A at its last fresh instant passes
@@ -137,12 +159,14 @@ def test_claim_overtaken_by_a_later_sweep_is_expired(make_request, keystore,
     last_fresh = T0 + config.window_ms + config.skew_ms
     registry = fresh_registry()
     a = make_request(now=T0)
+    a_digest = registry.key_digest(nonce_key(issuer.public_key,
+                                             a.mandate.nonce))
     assert verify(a, T0 - config.skew_ms, config, registry, keystore).accepted
+    assert a_digest in registry._records()
     b_at = last_fresh + 2
     assert verify(make_request(now=b_at), b_at, config, registry,
                   keystore).accepted
-    assert (registry.key_digest("nonce:" + a.mandate.nonce)
-            not in registry._records())
+    assert a_digest not in registry._records()
     replay = verify(a, last_fresh, config, registry, keystore)
     assert replay.reason is Reason.MANDATE_EXPIRED
 
