@@ -34,9 +34,10 @@ import urllib.parse
 from dataclasses import asdict, dataclass, field
 from http import HTTPStatus
 
-from .mandate import Keystore, decode_json, request_from_wire
+from .mandate import (SIGNATURE_MEMO_ENTRIES, Keystore, decode_json,
+                      request_from_wire)
 from .registry import NonceRegistry
-from .verifier import Decision, Reason, VerifierConfig, verify
+from .verifier import Decision, Reason, VerifierConfig, check, decide
 
 log = logging.getLogger("ztrv.gateway")
 
@@ -55,6 +56,10 @@ ACCEPT_RETRY_S = 0.05
 SHUTDOWN_WAIT_S = 5.0
 # how often serve_forever wakes to let a signal handler (Ctrl-C) run
 SIGNAL_POLL_S = 0.25
+# the longest request body whose stage 1-2 outcome the gateway remembers; a
+# longer one is checked afresh each time it is sent.  With the memo's
+# SIGNATURE_MEMO_ENTRIES bodies, this keeps the memo under ~2.5 MB.
+MEMO_BODY_LIMIT = 4096
 
 
 class ConfigError(ValueError):
@@ -688,6 +693,12 @@ class ZtrvGateway(_HttpService):
     All handler threads share one registry, so the exactly-one-accept
     property holds across concurrent HTTP requests.  Requests are verified
     at the time read from ``clock``, a never-backward wall clock.
+
+    The gateway remembers what stages 1-2 concluded for the last
+    SIGNATURE_MEMO_ENTRIES distinct bodies of at most MEMO_BODY_LIMIT bytes,
+    so a resent body skips its decode and ``check``; stages 3-5 run on every
+    request.  An outcome is reused only while the body's key_id names the
+    key it was checked under.
     """
 
     def __init__(self, config: GatewayConfig, *,
@@ -697,6 +708,10 @@ class ZtrvGateway(_HttpService):
             else Keystore.from_file(config.keystore_path)
         self.registry = NonceRegistry()
         self.clock = _WallClock()
+        # body -> (request, check's answer with signature_ns 0), oldest
+        # first; read without the lock, written under it
+        self._memo: dict[bytes, tuple] = {}
+        self._memo_lock = threading.Lock()
         tls, upstream_host, upstream_port, self._forward_head = \
             parse_upstream_url(config.upstream_url)
         self._upstream = (upstream_host, upstream_port)
@@ -728,6 +743,29 @@ class ZtrvGateway(_HttpService):
         does not decode to a request, reaches the verifier as None, and
         stage 1 rejects it like any other malformed request.
         """
+        started_ns = time.perf_counter_ns()
+        request, checked = self._check(body)
+        decision = decide(request, checked, self.clock.now_ms(),
+                          self.config.verifier, self.registry, started_ns)
+        if not decision.accepted:
+            return (403, _REJECT_BODIES[decision.reason]
+                    % decision.mandate_id.encode(), {})
+        return self._forward(body, decision)
+
+    def _check(self, body: bytes | None) -> tuple:
+        """``(request, check's answer)`` for ``body``: remembered, if the
+        memo holds ``body`` and its key_id still names the key it was
+        checked under (signature_ns is then 0), else decoded and checked."""
+        keystore = self.keystore
+        remember = body is not None and len(body) <= MEMO_BODY_LIMIT
+        if remember:
+            seen = self._memo.get(body)
+            if seen is not None:
+                request, (reason, public_key, _) = seen
+                # a malformed body is malformed under any keystore
+                if (reason is Reason.MALFORMED_REQUEST or keystore.lookup(
+                        request.mandate.key_id) == public_key):
+                    return seen
         request = None
         if body is not None:
             try:
@@ -736,13 +774,17 @@ class ZtrvGateway(_HttpService):
                 # WireFormatError and UnicodeDecodeError are ValueErrors;
                 # json raises RecursionError on deeply nested input
                 pass
-
-        decision = verify(request, self.clock.now_ms(), self.config.verifier,
-                          self.registry, self.keystore)
-        if not decision.accepted:
-            return (403, _REJECT_BODIES[decision.reason]
-                    % decision.mandate_id.encode(), {})
-        return self._forward(body, decision)
+        checked = check(request, keystore)
+        if remember:
+            reason, public_key, _ = checked
+            if reason is Reason.MALFORMED_REQUEST:
+                request = None  # nothing of it is read again
+            memo = self._memo
+            with self._memo_lock:
+                memo[body] = request, (reason, public_key, 0)
+                if len(memo) > SIGNATURE_MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+        return request, checked
 
     def _forward(self, body: bytes, decision: Decision) -> tuple[int, bytes, dict]:
         """Post ``body`` upstream and relay the answer's status and body.

@@ -248,18 +248,22 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
                    key_id=key.key_id, signature=signature)
 
 
-def _weak(public_key: bytes, signature: bytes) -> bool:
-    # libsodium refuses these before any arithmetic; other engines may not
-    return public_key in WEAK_ENCODINGS or signature[:32] in WEAK_ENCODINGS
+def _signature_rule(engine, public_key: bytes, signature: bytes,
+                    message: bytes) -> bool:
+    # libsodium refuses a weak key or R before any arithmetic; other engines
+    # may not.  ``engine.verify`` is looked up on every call, never bound
+    # once: a probe or a test may replace it on the engine
+    return (public_key not in WEAK_ENCODINGS
+            and signature[:32] not in WEAK_ENCODINGS
+            and engine.verify(public_key, signature, message))
 
 
 def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
     """Whether ``mandate.signature`` is ``public_key``'s signature of the
     mandate, by libsodium's rule on every engine: a key or an R that is one
     of ``WEAK_ENCODINGS`` is refused before the engine is asked."""
-    signature = mandate.signature
-    return (not _weak(public_key, signature)
-            and ENGINE.verify(public_key, signature, signing_bytes(mandate)))
+    return _signature_rule(ENGINE, public_key, mandate.signature,
+                           signing_bytes(mandate))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +374,6 @@ def request_from_wire(obj: Any) -> VerificationRequest:
 SIGNATURE_MEMO_ENTRIES = 256
 
 
-def _ask_engine(engine, public_key: bytes, signature: bytes,
-                message: bytes) -> bool:
-    # ``engine.verify`` is looked up on every call, never bound once: a
-    # probe or a test may replace it on the engine
-    return engine.verify(public_key, signature, message)
-
-
 class Keystore:
     """Maps key_id to a raw 32-byte Ed25519 public key, and remembers the
     signature rule's answer for the last ``SIGNATURE_MEMO_ENTRIES``
@@ -385,9 +382,10 @@ class Keystore:
     def __init__(self, keys: Mapping[str, bytes] | None = None):
         self._keys: dict[str, bytes] = {}
         # Ed25519 under one rule is a pure function of these four, so a
-        # remembered answer is the engine's answer, True or False alike.
+        # remembered answer is the rule's answer, True or False alike.
         # lru_cache is safe under the GIL; two racing misses both ask.
-        self._memo = functools.lru_cache(SIGNATURE_MEMO_ENTRIES)(_ask_engine)
+        self._memo = functools.lru_cache(SIGNATURE_MEMO_ENTRIES)(
+            _signature_rule)
         if keys:
             for key_id, public in keys.items():
                 self.add(key_id, public)
@@ -407,14 +405,17 @@ class Keystore:
 
     def verify(self, mandate: Mandate) -> bool:
         """``verify_signature`` under the key ``mandate.key_id`` names, False
-        for an unknown key_id.  The engine is asked once per distinct
-        (engine, key, signature, signing bytes) while that stays among the
-        last ``SIGNATURE_MEMO_ENTRIES`` asked of this keystore."""
-        public_key = self._keys.get(mandate.key_id)
-        signature = mandate.signature
-        return (public_key is not None and not _weak(public_key, signature)
-                and self._memo(ENGINE, public_key, signature,
-                               signing_bytes(mandate)))
+        for an unknown key_id."""
+        return self.verify_signature(mandate, self._keys.get(mandate.key_id))
+
+    def verify_signature(self, mandate: Mandate,
+                         public_key: bytes | None) -> bool:
+        """``verify_signature(mandate, public_key)``, False for None.  The
+        rule is applied once per distinct (engine, key, signature, signing
+        bytes) while that stays among the last ``SIGNATURE_MEMO_ENTRIES``
+        asked of this keystore."""
+        return public_key is not None and self._memo(
+            ENGINE, public_key, mandate.signature, signing_bytes(mandate))
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -27,7 +27,9 @@ the k-th ring entry naming a bucket stands for that bucket's k-th record,
 and the entries not yet popped count the stored records.  Before it looks a
 key up, every claim pops the ring front while the front record of the
 bucket it names has expired by the claim's instant, trimming that one
-record per pop.  That is O(expired) work, so it runs on every claim.  While
+record per pop, and frees a bucket it trims empty, so that a registry's
+memory follows its live entries rather than every bucket its history
+touched.  That is O(expired) work, so it runs on every claim.  While
 claims share one TTL, as the verifier's do, claim order is expiry order,
 and the stored entries are exactly the live ones.
 
@@ -91,7 +93,8 @@ class NonceRegistry:
         self._lock = threading.Lock()
         # keyed once; each digest starts from a copy of this state
         self._keyed = blake2b(digest_size=_DIGEST_BYTES, key=os.urandom(16))
-        # records in claim order; a bucket is made by its first claim
+        # records in claim order; a bucket is made by the claim that finds
+        # it None, and set back to None once eviction trims it empty
         self._buckets: list[bytearray | None] = [None] * (1 << _BUCKET_BITS)
         # the bucket id of each stored record, in claim order, from
         # _ring_start on; the entries before it have been evicted
@@ -180,10 +183,14 @@ class NonceRegistry:
         end = len(ring)
         # the ring front stands for the front record of the bucket it names
         while start < end:
-            bucket = buckets[ring[start]]
+            index = ring[start]
+            bucket = buckets[index]
             if _expiry_at(bucket, _DIGEST_BYTES)[0] > now:
                 break
             del bucket[:_RECORD_BYTES]
+            if not bucket:
+                # a bucket trimmed empty is freed, not kept at its peak size
+                buckets[index] = None
             start += 1
         self._evicted += start - first
         # drop the evicted ring entries once they are an eighth of the ring:

@@ -373,10 +373,10 @@ def ttl_sweep(windows: list[float], rate: float, duration: float, *,
     runs = [(VerifierConfig(window=window), NonceRegistry())
             for window in windows]
     for item in workload:
-        rejected = check(item.request, keystore)[0]
+        rejected, public_key, _ = check(item.request, keystore)
         for config, registry in runs:
-            reason = rejected or admit(item.request, item.at_ms, config,
-                                       registry, keystore)[0]
+            reason = rejected or admit(item.request, public_key, item.at_ms,
+                                       config, registry)[0]
             if reason is not Reason.AUTHORIZED:  # a legit-only stream: a bug
                 raise RuntimeError(f"window {config.window:g}: legitimate "
                                    f"request answered {reason.value}")

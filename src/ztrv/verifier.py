@@ -14,11 +14,14 @@ accept.  Modes exist solely to ablate stages 4 and 5 in experiments, which
 build their configs in Python; the gateway always runs Mode.FULL.
 
 Stages 1-2 depend only on the request and the keystore (``check``), stages
-3-5 on the time and the registry (``admit``); ``verify`` runs both.
+3-5 on the time, the registry and the key stage 2 used (``admit``);
+``verify`` runs both, and ``decide`` builds the decision from what ``check``
+returned, for ``verify`` and for a caller that remembers it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -135,15 +138,15 @@ class VerifierConfig:
             raise ValueError("window + 2 * skew_tolerance must be under "
                              f"{MAX_TTL_MS // 1000} s")
 
-    @property
+    @functools.cached_property
     def window_ms(self) -> int:
         return int(round(self.window * 1000))
 
-    @property
+    @functools.cached_property
     def skew_ms(self) -> int:
         return int(round(self.skew_tolerance * 1000))
 
-    @property
+    @functools.cached_property
     def nonce_ttl_ms(self) -> int:
         """``window + 2*skew + 1`` ms.  A mandate can first be claimed at
         ``issued_at - skew`` and stays fresh through ``issued_at + window +
@@ -160,31 +163,37 @@ def nonce_key(public_key: bytes, nonce: str) -> str:
     return "nonce:" + public_key.hex() + ":" + nonce
 
 
-def check(request: VerificationRequest | None,
-          keystore: Keystore) -> tuple[Reason | None, int]:
+def check(request: VerificationRequest | None, keystore: Keystore,
+          ) -> tuple[Reason | None, bytes | None, int]:
     """Run stages 1-2; returns the reason to reject with (None if both
-    pass) and the nanoseconds stage 2 took.  ``request`` is whatever the
-    caller has: stage 1 rejects anything that is not a fully well-formed
-    request, None included."""
+    pass), the public key stage 2 checked the signature under, and the
+    nanoseconds stage 2 took.  The key is the one ``key_id`` named at that
+    moment, None if it named none or stage 1 rejected.  ``request`` is
+    whatever the caller has: stage 1 rejects anything that is not a fully
+    well-formed request, None included."""
     # stage 1: shape. A request that cannot be fully validated is rejected
     # without looking at any of its contents, its mandate_id included.
     if request_problem(request) is not None:
-        return Reason.MALFORMED_REQUEST, 0
+        return Reason.MALFORMED_REQUEST, None, 0
 
     # stage 2: signature over the canonical encoding, under the key named by
-    # key_id. An unknown key_id is indistinguishable from a bad signature.
+    # key_id, looked up once. An unknown key_id is indistinguishable from a
+    # bad signature.
+    mandate = request.mandate
+    public_key = keystore.lookup(mandate.key_id)
     t0 = time.perf_counter_ns()
-    signature_ok = keystore.verify(request.mandate)
+    signature_ok = keystore.verify_signature(mandate, public_key)
     signature_ns = time.perf_counter_ns() - t0
-    return None if signature_ok else Reason.INVALID_SIGNATURE, signature_ns
+    return (None if signature_ok else Reason.INVALID_SIGNATURE, public_key,
+            signature_ns)
 
 
-def admit(request: VerificationRequest, now: int, config: VerifierConfig,
-          registry: NonceRegistry,
-          keystore: Keystore) -> tuple[Reason, int, int]:
+def admit(request: VerificationRequest, public_key: bytes, now: int,
+          config: VerifierConfig,
+          registry: NonceRegistry) -> tuple[Reason, int, int]:
     """Run stages 3-5 at time ``now`` (unix ms) on a request ``check``
-    passed with ``keystore``; returns the reason and the nanoseconds stages
-    4 and 5 took."""
+    passed, with the public key ``check`` returned; returns the reason and
+    the nanoseconds stages 4 and 5 took."""
     mandate = request.mandate
     # stage 3: freshness. Expired iff now > issued_at + window + skew, the
     # mandate's last fresh instant; equality is still fresh. Future-dating
@@ -212,9 +221,8 @@ def admit(request: VerificationRequest, now: int, config: VerifierConfig,
     if not config.mode.checks_nonce:
         return Reason.AUTHORIZED, context_ns, 0
     t0 = time.perf_counter_ns()
-    claimed = registry.consume_once(
-        nonce_key(keystore.lookup(mandate.key_id), mandate.nonce), now,
-        config.nonce_ttl_ms, last_fresh)
+    claimed = registry.consume_once(nonce_key(public_key, mandate.nonce), now,
+                                    config.nonce_ttl_ms, last_fresh)
     registry_ns = time.perf_counter_ns() - t0
     if claimed is None:
         return Reason.MANDATE_EXPIRED, context_ns, registry_ns
@@ -223,21 +231,32 @@ def admit(request: VerificationRequest, now: int, config: VerifierConfig,
     return Reason.AUTHORIZED, context_ns, registry_ns
 
 
-def verify(request: VerificationRequest | None, now: int,
+def decide(request: VerificationRequest | None,
+           checked: tuple[Reason | None, bytes | None, int], now: int,
            config: VerifierConfig, registry: NonceRegistry,
-           keystore: Keystore) -> Decision:
-    """Run the pipeline at time ``now`` (unix ms): ``check``, then ``admit``
-    if it passed.  The decision carries the time each stage took."""
-    t_start = time.perf_counter_ns()
-    reason, signature_ns = check(request, keystore)
+           started_ns: int) -> Decision:
+    """The decision on ``request``, given what ``check`` returned for it:
+    ``admit`` runs at ``now`` if ``check`` passed it.  ``total_ns`` counts
+    from ``started_ns``, a ``time.perf_counter_ns()`` reading."""
+    reason, public_key, signature_ns = checked
     context_ns = registry_ns = 0
     if reason is None:
-        reason, context_ns, registry_ns = admit(request, now, config, registry,
-                                                keystore)
+        reason, context_ns, registry_ns = admit(request, public_key, now,
+                                                config, registry)
     return Decision(
         reason=reason,
         # stage 1 reads nothing of a request it rejects
         mandate_id=("" if reason is Reason.MALFORMED_REQUEST
                     else request.mandate.mandate_id),
         signature_ns=signature_ns, context_ns=context_ns,
-        registry_ns=registry_ns, total_ns=time.perf_counter_ns() - t_start)
+        registry_ns=registry_ns, total_ns=time.perf_counter_ns() - started_ns)
+
+
+def verify(request: VerificationRequest | None, now: int,
+           config: VerifierConfig, registry: NonceRegistry,
+           keystore: Keystore) -> Decision:
+    """Run the pipeline at time ``now`` (unix ms): ``check``, then ``admit``
+    if it passed.  The decision carries the time each stage took."""
+    started_ns = time.perf_counter_ns()
+    return decide(request, check(request, keystore), now, config, registry,
+                  started_ns)

@@ -9,6 +9,7 @@ import logging
 import random
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -30,6 +31,7 @@ from ztrv import (
     Mandate,
     Mode,
     MockMerchant,
+    NonceRegistry,
     PaymentPayload,
     Reason,
     VerificationRequest,
@@ -39,11 +41,13 @@ from ztrv import (
     load_config,
     request_from_wire,
     request_to_wire,
+    verify,
 )
 from ztrv import gateway as gateway_module
 from ztrv import mandate as mandate_module
-from ztrv.gateway import HANDLER_THREADS, parse_listen_address
-from ztrv.mandate import request_problem
+from ztrv.gateway import (HANDLER_THREADS, MEMO_BODY_LIMIT,
+                          parse_listen_address)
+from ztrv.mandate import SIGNATURE_MEMO_ENTRIES, decode_json, request_problem
 from ztrv.registry import PER_ENTRY_BYTES
 
 from conftest import T0
@@ -712,6 +716,176 @@ def test_serving_builds_no_json_decoder(gateway, merchant, make_request,
                      for _ in range(2)]
     assert statuses == [200, 403] * 50
     assert inits == []
+
+
+# ---------------------------------------------------------------------------
+# the request memo: what stages 1-2 concluded, remembered per body
+# ---------------------------------------------------------------------------
+
+class _Clock:
+    def __init__(self, now: int):
+        self.now = now
+
+    def now_ms(self) -> int:
+        return self.now
+
+
+def _memo_gateway(keystore, now: int) -> ZtrvGateway:
+    """An unstarted gateway on a settable clock whose forward answers 200
+    with the body it was given."""
+    gw = ZtrvGateway(_idle_config(), keystore=keystore)
+    gw.clock = _Clock(now)
+    gw._forward = lambda body, decision: (200, b"forwarded " + body, {})
+    return gw
+
+
+def _body(request: VerificationRequest) -> bytes:
+    return json.dumps(request_to_wire(request)).encode()
+
+
+def _twin_answer(body, now, registry, keystore) -> tuple[int, bytes]:
+    """What the gateway must answer for ``body``: ``verify`` on a freshly
+    decoded request, against a registry of its own."""
+    try:
+        request = request_from_wire(decode_json(body))
+    except (ValueError, RecursionError):
+        request = None
+    decision = verify(request, now, VerifierConfig(), registry, keystore)
+    if decision.accepted:
+        return 200, b"forwarded " + body
+    return 403, json.dumps(decision.to_wire()).encode()
+
+
+_LATE = IssuerKey.generate("late-issuer", rng=random.Random(0x1A7E))
+_SEND_KINDS = ("fresh", "resend", "bit-flip", "unknown-key", "garbage",
+               "oversized")
+_GARBAGE = (b'{"mandate": ', b'{"mandate": {}, "context": {}}')
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.sampled_from(_SEND_KINDS), st.integers(0, 1)),
+    st.tuples(st.just("add-key"), st.sampled_from([_LATE.key_id,
+                                                   "test-issuer"])),
+    st.tuples(st.just("tick"), st.sampled_from([1, 61_001]))),
+    max_size=30))
+@example(steps=[("unknown-key", 0), ("add-key", _LATE.key_id),
+                ("unknown-key", 0), ("unknown-key", 0)])
+@example(steps=[("resend", 0), ("add-key", "test-issuer"), ("resend", 0),
+                ("bit-flip", 1), ("tick", 61_001), ("resend", 1)])
+def test_memoized_answers_equal_verify_on_a_fresh_decode(issuer, steps):
+    # sends from a small pool, resent, interleaved with a key added (or
+    # rebound) and with the clock stepped past the window: each answer is
+    # the one verify gives on the same bytes, decoded afresh
+    keystore = Keystore.for_issuers(issuer)
+    rng = random.Random(21)
+    now = T0
+
+    def issue(key, **context):
+        ctx = ExecutionContext(task_id=f"task-{rng.random()}", agent_id="a1",
+                               merchant_id="m1", scope="/checkout/confirm")
+        ctx = dataclasses.replace(ctx, **context)
+        return VerificationRequest(issue_mandate(
+            key, ctx, PaymentPayload(100, "USD"), now=now, rng=rng), ctx)
+
+    pool = [issue(issuer) for _ in range(2)]
+    bodies = {
+        "resend": [_body(r) for r in pool],
+        "bit-flip": [_body(_flip_bit(r)) for r in pool],
+        "unknown-key": [_body(issue(_LATE)) for _ in range(2)],
+        "garbage": _GARBAGE,
+        "oversized": [_body(issue(issuer, scope="/s" * MEMO_BODY_LIMIT))
+                      for _ in range(2)],
+    }
+    twin = NonceRegistry()
+    gw = _memo_gateway(keystore, now)
+    try:
+        for kind, arg in steps:
+            if kind == "add-key":
+                keystore.add(arg, _LATE.public_key)
+                continue
+            if kind == "tick":
+                now = gw.clock.now = now + arg
+                continue
+            body = (_body(issue(issuer)) if kind == "fresh"
+                    else bodies[kind][arg])
+            status, payload, _ = gw.handle_execute(body)
+            assert (status, payload) == _twin_answer(body, now, twin,
+                                                     keystore), kind
+        assert all(len(body) <= MEMO_BODY_LIMIT for body in gw._memo)
+    finally:
+        gw.shutdown()
+
+
+def test_resent_body_is_decoded_once_while_its_key_stands(issuer,
+                                                          make_request,
+                                                          monkeypatch):
+    decoded = []
+    from_wire = gateway_module.request_from_wire
+    monkeypatch.setattr(gateway_module, "request_from_wire",
+                        lambda obj: decoded.append(obj) or from_wire(obj))
+    keystore = Keystore.for_issuers(issuer)
+    request = make_request()
+    gw = _memo_gateway(keystore, T0)
+    try:
+        body = _body(request)
+        statuses = [gw.handle_execute(body)[0] for _ in range(3)]
+        assert statuses == [200, 403, 403]
+        assert len(decoded) == 1
+        # key_id now names another key: the outcome is not reused
+        keystore.add(issuer.key_id, _LATE.public_key)
+        status, payload, _ = gw.handle_execute(body)
+        assert (status, json.loads(payload)["reason"]) == (
+            403, "InvalidSignature")
+        assert len(decoded) == 2
+        gw.handle_execute(body)
+        assert len(decoded) == 2
+    finally:
+        gw.shutdown()
+
+
+def test_memo_holds_at_most_its_bound_and_no_long_body(issuer, keystore,
+                                                       make_request):
+    long_body = _body(make_request(context=ExecutionContext(
+        "t", "a", "m", "/s" * MEMO_BODY_LIMIT)))
+    assert len(long_body) > MEMO_BODY_LIMIT
+    gw = _memo_gateway(keystore, T0)
+    try:
+        bodies = [b'{"n": %d}' % i for i in range(SIGNATURE_MEMO_ENTRIES + 40)]
+        for body in bodies:
+            for sent in (body, long_body):
+                assert gw.handle_execute(sent)[0] in (200, 403)
+                assert len(gw._memo) <= SIGNATURE_MEMO_ENTRIES
+                assert long_body not in gw._memo
+        # the oldest bodies made room for the newest
+        assert list(gw._memo) == bodies[-SIGNATURE_MEMO_ENTRIES:]
+    finally:
+        gw.shutdown()
+
+
+def test_memo_answers_right_under_racing_threads(issuer, keystore,
+                                                 make_request):
+    # more distinct bodies than the memo holds, each sent by every thread,
+    # on more threads than cores: each mandate is accepted exactly once,
+    # every other send is a replay, and the memo stays within its bound
+    bodies = [_body(make_request()) for _ in range(SIGNATURE_MEMO_ENTRIES + 44)]
+    gw = _memo_gateway(keystore, T0 + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [pool.submit(lambda k: [gw.handle_execute(body)[:2] for
+                                           body in bodies[k:] + bodies[:k]], k)
+                    for k in range(0, 80, 10)]
+            answers = [a for run in runs for a in run.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+        gw.shutdown()
+    accepted = sorted(payload for status, payload in answers if status == 200)
+    assert accepted == sorted(b"forwarded " + body for body in bodies)
+    assert all(json.loads(payload)["reason"] == "ReplayDetected"
+               for status, payload in answers if status != 200)
+    assert len(gw._memo) <= SIGNATURE_MEMO_ENTRIES
 
 
 def test_oversized_body_rejected(merchant, keystore, tmp_path):

@@ -528,3 +528,25 @@ def test_memory_bound_under_sustained_insertion():
     bound = rate * min(ttl_s, duration_s) * 1.05
     assert peak_seen <= bound, (peak_seen, bound)
     assert reg.stats().peak_count <= bound
+
+
+def test_a_long_history_leaves_no_emptied_buckets_behind():
+    # 18,000 claims at one per 50 ms under a 5,001 ms TTL leave 101 live
+    # entries, after the history has touched every one of the 4,096
+    # buckets.  Each bucket trimmed empty is freed: what stays is the bucket
+    # list (32 KB of pointers), the ring and the live records, not ~260 KB
+    # of emptied bytearrays.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg = NonceRegistry()
+        for i in range(18_000):
+            assert reg.consume_once(f"nonce:{i:032x}", i * 50, 5_001)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reg) == 101
+    assert sum(bucket is not None for bucket in reg._buckets) <= 101
+    assert held < 64_000, held

@@ -22,7 +22,7 @@ from ztrv import (
     verify,
 )
 from ztrv.registry import MAX_TTL_MS
-from ztrv.verifier import STAGE_TIMINGS, Decision, nonce_key
+from ztrv.verifier import STAGE_TIMINGS, Decision, admit, check, nonce_key
 
 from conftest import T0
 
@@ -89,6 +89,37 @@ def test_one_issuer_cannot_burn_another_issuers_nonce(make_request, issuer):
     for request in (theirs, mine):
         assert (verify(request, T0 + 3, FULL, registry, keystore).reason
                 is Reason.REPLAY_DETECTED)
+
+
+def test_admit_scopes_the_nonce_by_the_key_check_verified_with(
+        make_request, issuer):
+    # key_id is rebound to another key between check and admit: the nonce is
+    # consumed under the key the signature was checked with, not the new one
+    keystore = Keystore.for_issuers(issuer)
+    request = make_request()
+    reason, public_key, _ = check(request, keystore)
+    assert (reason, public_key) == (None, issuer.public_key)
+    other = IssuerKey.generate(issuer.key_id, rng=random.Random(0xB0B))
+    keystore.add(issuer.key_id, other.public_key)
+    registry = fresh_registry()
+    reason, _, _ = admit(request, public_key, T0 + 1, FULL, registry)
+    assert reason is Reason.AUTHORIZED
+    assert list(registry._records()) == [
+        registry.key_digest(nonce_key(issuer.public_key,
+                                      request.mandate.nonce))]
+
+
+@pytest.mark.parametrize("key_id", ["test-issuer", "unknown"])
+def test_check_names_the_key_it_checked_under(make_request, issuer, key_id):
+    # a bad signature under a known key names that key; an unknown key_id
+    # and a malformed request name none
+    keystore = Keystore.for_issuers(issuer)
+    request = make_request()
+    bad = VerificationRequest(dataclasses.replace(
+        request.mandate, key_id=key_id, signature=bytes(64)), request.context)
+    assert check(bad, keystore)[:2] == (
+        Reason.INVALID_SIGNATURE, keystore.lookup(key_id))
+    assert check(None, keystore) == (Reason.MALFORMED_REQUEST, None, 0)
 
 
 def test_stale_mandate_expired(make_request, keystore):
