@@ -6,8 +6,8 @@ detached signatures, so keys and signatures are interchangeable between
 backends.  The libsodium path exists because per-call object construction
 in ``cryptography`` costs enough to matter on the gateway hot path.
 
-The engine does Ed25519 only.  A verify releases the GIL once per memo
-miss (``mandate.Keystore``), for the signature check; the context hash's
+The engine does Ed25519 only.  The GIL is released once per verify
+(``mandate.verify_signature``), for the signature check; the context hash's
 SHA-256 is CPython's own (see ``mandate``), which keeps the GIL on short
 inputs.
 """

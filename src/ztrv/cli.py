@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .gateway import ConfigError, ZtrvGateway, load_config
 from .mandate import IssuerKey, Keystore
-from .verifier import DEFAULT_CONCURRENCY, Mode
+from .verifier import DEFAULT_CONCURRENCY, Mode, VerifierConfig
 
 # The experiment subcommands import ztrv.simharness when they run, so that
 # `ztrv serve` does not load the harness.
@@ -176,7 +176,8 @@ def cmd_ablation(args) -> int:
 def cmd_ttl_sweep(args) -> int:
     from .simharness import ttl_sweep
     # the workload holds round(rate x duration) requests, as simharness counts
-    if round(args.rate * args.duration) < 1:
+    total = round(args.rate * args.duration)
+    if total < 1:
         raise UsageError("--rate x --duration must round to at least one "
                          "request")
     _ensure_out_dir(args.out)
@@ -184,7 +185,10 @@ def cmd_ttl_sweep(args) -> int:
                        seed=args.seed)
     rows = []
     for point in points:
-        expected = int(args.rate * min(point.window, args.duration))
+        # the claims of the last nonce TTL (the window plus 1 ms) are live,
+        # up to the whole workload
+        ttl_ms = VerifierConfig(window=point.window).nonce_ttl_ms
+        expected = min(math.ceil(args.rate * ttl_ms / 1000), total)
         rows.append([f"{point.window:g}", str(point.peak_entries),
                      str(expected), f"{point.bytes_estimate / 1e6:.2f} MB"])
     print(f"rate={args.rate:g}/s  duration={args.duration:g}s  seed={args.seed}")

@@ -34,8 +34,7 @@ import urllib.parse
 from dataclasses import asdict, dataclass, field
 from http import HTTPStatus
 
-from .mandate import (SIGNATURE_MEMO_ENTRIES, Keystore, decode_json,
-                      request_from_wire)
+from .mandate import Keystore, decode_json, request_from_wire
 from .registry import NonceRegistry
 from .verifier import Decision, Reason, VerifierConfig, check, decide
 
@@ -56,9 +55,10 @@ ACCEPT_RETRY_S = 0.05
 SHUTDOWN_WAIT_S = 5.0
 # how often serve_forever wakes to let a signal handler (Ctrl-C) run
 SIGNAL_POLL_S = 0.25
-# the longest request body whose stage 1-2 outcome the gateway remembers; a
-# longer one is checked afresh each time it is sent.  With the memo's
-# SIGNATURE_MEMO_ENTRIES bodies, this keeps the memo under ~2.5 MB.
+# distinct request bodies whose stage 1-2 outcome the gateway remembers, and
+# the longest such body; a longer one is checked afresh each time it is
+# sent.  Together they keep the memo under ~2.5 MB.
+MEMO_ENTRIES = 256
 MEMO_BODY_LIMIT = 4096
 
 
@@ -695,8 +695,8 @@ class ZtrvGateway(_HttpService):
     at the time read from ``clock``, a never-backward wall clock.
 
     The gateway remembers what stages 1-2 concluded for the last
-    SIGNATURE_MEMO_ENTRIES distinct bodies of at most MEMO_BODY_LIMIT bytes,
-    so a resent body skips its decode and ``check``; stages 3-5 run on every
+    MEMO_ENTRIES distinct bodies of at most MEMO_BODY_LIMIT bytes, so a
+    resent body skips its decode and ``check``; stages 3-5 run on every
     request.  An outcome is reused only while the body's key_id names the
     key it was checked under.
     """
@@ -782,7 +782,7 @@ class ZtrvGateway(_HttpService):
             memo = self._memo
             with self._memo_lock:
                 memo[body] = request, (reason, public_key, 0)
-                if len(memo) > SIGNATURE_MEMO_ENTRIES:
+                if len(memo) > MEMO_ENTRIES:
                     del memo[next(iter(memo))]
         return request, checked
 

@@ -11,15 +11,14 @@ reads JSON: the request bodies, the keystore and the gateway's config.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 # CPython's own SHA-256, which hashlib falls back to: it loads no OpenSSL
-# and holds the GIL on short inputs, so a verify releases the GIL only for
-# an Ed25519 check, once per memo miss
+# and holds the GIL on short inputs, so the GIL is released only for the
+# Ed25519 check, once per verify
 try:
     from _sha256 import sha256  # CPython 3.11
 except ImportError:
@@ -248,22 +247,17 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
                    key_id=key.key_id, signature=signature)
 
 
-def _signature_rule(engine, public_key: bytes, signature: bytes,
-                    message: bytes) -> bool:
-    # libsodium refuses a weak key or R before any arithmetic; other engines
-    # may not.  ``engine.verify`` is looked up on every call, never bound
-    # once: a probe or a test may replace it on the engine
-    return (public_key not in WEAK_ENCODINGS
-            and signature[:32] not in WEAK_ENCODINGS
-            and engine.verify(public_key, signature, message))
-
-
 def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
     """Whether ``mandate.signature`` is ``public_key``'s signature of the
     mandate, by libsodium's rule on every engine: a key or an R that is one
     of ``WEAK_ENCODINGS`` is refused before the engine is asked."""
-    return _signature_rule(ENGINE, public_key, mandate.signature,
-                           signing_bytes(mandate))
+    signature = mandate.signature
+    # libsodium refuses a weak key or R before any arithmetic; other engines
+    # may not.  ``ENGINE.verify`` is looked up on every call, never bound
+    # once: a probe or a test may replace the engine or its verify
+    return (public_key not in WEAK_ENCODINGS
+            and signature[:32] not in WEAK_ENCODINGS
+            and ENGINE.verify(public_key, signature, signing_bytes(mandate)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +362,11 @@ def request_from_wire(obj: Any) -> VerificationRequest:
 # Keystore
 # ---------------------------------------------------------------------------
 
-# distinct signatures a keystore remembers the engine's answer for.  Stage 1
-# bounds every signed field, so an entry keeps at most ~9 KB alive (CPython
-# caps an int at 4,300 digits): ~2.3 MB in all; ~120 KB for real mandates.
-SIGNATURE_MEMO_ENTRIES = 256
-
-
 class Keystore:
-    """Maps key_id to a raw 32-byte Ed25519 public key, and remembers the
-    signature rule's answer for the last ``SIGNATURE_MEMO_ENTRIES``
-    distinct signatures it verified."""
+    """Maps key_id to a raw 32-byte Ed25519 public key."""
 
     def __init__(self, keys: Mapping[str, bytes] | None = None):
         self._keys: dict[str, bytes] = {}
-        # Ed25519 under one rule is a pure function of these four, so a
-        # remembered answer is the rule's answer, True or False alike.
-        # lru_cache is safe under the GIL; two racing misses both ask.
-        self._memo = functools.lru_cache(SIGNATURE_MEMO_ENTRIES)(
-            _signature_rule)
         if keys:
             for key_id, public in keys.items():
                 self.add(key_id, public)
@@ -402,20 +383,6 @@ class Keystore:
 
     def lookup(self, key_id: str) -> bytes | None:
         return self._keys.get(key_id)
-
-    def verify(self, mandate: Mandate) -> bool:
-        """``verify_signature`` under the key ``mandate.key_id`` names, False
-        for an unknown key_id."""
-        return self.verify_signature(mandate, self._keys.get(mandate.key_id))
-
-    def verify_signature(self, mandate: Mandate,
-                         public_key: bytes | None) -> bool:
-        """``verify_signature(mandate, public_key)``, False for None.  The
-        rule is applied once per distinct (engine, key, signature, signing
-        bytes) while that stays among the last ``SIGNATURE_MEMO_ENTRIES``
-        asked of this keystore."""
-        return public_key is not None and self._memo(
-            ENGINE, public_key, mandate.signature, signing_bytes(mandate))
 
     def __len__(self) -> int:
         return len(self._keys)

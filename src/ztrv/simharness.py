@@ -364,9 +364,9 @@ def ttl_sweep(windows: list[float], rate: float, duration: float, *,
 
     One legit-only workload is generated, and each request checked, once;
     then admitted at its own timestamp into a fresh registry per window, in
-    workload order.  Expected peak is rate x min(window, duration): shorter
-    windows let entries expire during the run, longer ones plateau at the
-    full workload size.
+    workload order.  Expected peak is rate x the nonce TTL (the window plus
+    1 ms), at most the whole workload: shorter windows let entries expire
+    during the run, longer ones plateau at the full workload size.
     """
     keystore = Keystore.for_issuers(sim_issuer(seed))
     workload = gen_legit_workload(rate, duration, seed)

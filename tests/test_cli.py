@@ -166,20 +166,40 @@ def test_ablation_matrix_and_byte_identical_reruns(tmp_path, capsys):
     }
 
 
-def test_ttl_sweep_cli(tmp_path, capsys):
-    argv = ["ttl-sweep", "--windows", "1,2", "--rate", "50", "--duration",
-            "5", "--seed", "9", "--fixed-name"]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-    capsys.readouterr()
+# (windows, rate, duration)
+_TTL_SWEEPS = [
+    ("1,2", "50", "5"),
+    # 4.1 x 30 is 122.99999999999999 in floating point; the workload holds
+    # round(4.1 x 30) = 123 requests
+    ("30,60", "4.1", "30"),
+    # a window much shorter than the history: rate x window + 1 live
+    ("5", "20", "900"),
+]
 
-    csv_a = (tmp_path / "a" / "ttl_sweep_report.csv").read_bytes()
-    assert csv_a == (tmp_path / "b" / "ttl_sweep_report.csv").read_bytes()
-    lines = csv_a.decode().splitlines()
-    assert lines[0] == ",".join(TtlSweepPoint.CSV_FIELDS)
-    assert len(lines) == 3
-    obj = json.loads((tmp_path / "a" / "ttl_sweep_report.json").read_text())
-    assert [p["window"] for p in obj["points"]] == [1.0, 2.0]
+
+def test_ttl_sweep_cli(tmp_path, capsys):
+    for i, (windows, rate, duration) in enumerate(_TTL_SWEEPS):
+        argv = ["ttl-sweep", "--windows", windows, "--rate", rate,
+                "--duration", duration, "--seed", "9", "--fixed-name"]
+        a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        assert main(argv + ["--out", str(a)]) == 0
+        table = capsys.readouterr().out.splitlines()[3:-1]
+        assert main(argv + ["--out", str(b)]) == 0
+        capsys.readouterr()
+
+        csv_a = (a / "ttl_sweep_report.csv").read_bytes()
+        assert csv_a == (b / "ttl_sweep_report.csv").read_bytes()
+        lines = csv_a.decode().splitlines()
+        assert lines[0] == ",".join(TtlSweepPoint.CSV_FIELDS)
+        assert len(lines) == len(windows.split(",")) + 1
+        obj = json.loads((a / "ttl_sweep_report.json").read_text())
+        assert [p["window"] for p in obj["points"]] == [
+            float(w) for w in windows.split(",")]
+        # the expected column states each peak the sweep measured
+        assert len(table) == len(obj["points"])
+        for row, point in zip(table, obj["points"]):
+            _, peak, expected, _ = row.split(None, 3)
+            assert int(peak) == int(expected) == point["peak_entries"], argv
 
 
 def test_throughput_cli(tmp_path, capsys):

@@ -45,9 +45,9 @@ from ztrv import (
 )
 from ztrv import gateway as gateway_module
 from ztrv import mandate as mandate_module
-from ztrv.gateway import (HANDLER_THREADS, MEMO_BODY_LIMIT,
+from ztrv.gateway import (HANDLER_THREADS, MEMO_BODY_LIMIT, MEMO_ENTRIES,
                           parse_listen_address)
-from ztrv.mandate import SIGNATURE_MEMO_ENTRIES, decode_json, request_problem
+from ztrv.mandate import decode_json, request_problem
 from ztrv.registry import PER_ENTRY_BYTES
 
 from conftest import T0
@@ -291,7 +291,8 @@ def test_resends_ask_the_engine_once(merchant, issuer, make_request,
         return engine_verify(*args)
 
     monkeypatch.setattr(mandate_module.ENGINE, "verify", counting_verify)
-    # a keystore of its own, whose memo no other test has filled
+    # a gateway of its own, whose request memo alone keeps the resends off
+    # the engine
     with _gateway_to(f"{merchant.base_url}/fulfill",
                      Keystore.for_issuers(issuer)) as gw:
         request = make_request(now=gw.clock.now_ms())
@@ -757,8 +758,8 @@ def _twin_answer(body, now, registry, keystore) -> tuple[int, bytes]:
 
 
 _LATE = IssuerKey.generate("late-issuer", rng=random.Random(0x1A7E))
-_SEND_KINDS = ("fresh", "resend", "bit-flip", "unknown-key", "garbage",
-               "oversized")
+_SEND_KINDS = ("fresh", "resend", "other-context", "re-encoded", "bit-flip",
+               "unknown-key", "garbage", "oversized")
 _GARBAGE = (b'{"mandate": ', b'{"mandate": {}, "context": {}}')
 
 
@@ -773,10 +774,13 @@ _GARBAGE = (b'{"mandate": ', b'{"mandate": {}, "context": {}}')
                 ("unknown-key", 0), ("unknown-key", 0)])
 @example(steps=[("resend", 0), ("add-key", "test-issuer"), ("resend", 0),
                 ("bit-flip", 1), ("tick", 61_001), ("resend", 1)])
+@example(steps=[("other-context", 0), ("re-encoded", 0), ("resend", 0),
+                ("re-encoded", 0), ("other-context", 0)])
 def test_memoized_answers_equal_verify_on_a_fresh_decode(issuer, steps):
-    # sends from a small pool, resent, interleaved with a key added (or
-    # rebound) and with the clock stepped past the window: each answer is
-    # the one verify gives on the same bytes, decoded afresh
+    # sends from a small pool, resent as they were, under another context or
+    # in other JSON bytes, interleaved with a key added (or rebound) and with
+    # the clock stepped past the window: each answer is the one verify
+    # gives on the same bytes, decoded afresh
     keystore = Keystore.for_issuers(issuer)
     rng = random.Random(21)
     now = T0
@@ -791,6 +795,12 @@ def test_memoized_answers_equal_verify_on_a_fresh_decode(issuer, steps):
     pool = [issue(issuer) for _ in range(2)]
     bodies = {
         "resend": [_body(r) for r in pool],
+        "other-context": [_body(VerificationRequest(
+            r.mandate, dataclasses.replace(r.context, merchant_id="m2")))
+            for r in pool],
+        # other whitespace, and members in another order
+        "re-encoded": [json.dumps(request_to_wire(r), indent=1,
+                                  sort_keys=True).encode() for r in pool],
         "bit-flip": [_body(_flip_bit(r)) for r in pool],
         "unknown-key": [_body(issue(_LATE)) for _ in range(2)],
         "garbage": _GARBAGE,
@@ -851,14 +861,14 @@ def test_memo_holds_at_most_its_bound_and_no_long_body(issuer, keystore,
     assert len(long_body) > MEMO_BODY_LIMIT
     gw = _memo_gateway(keystore, T0)
     try:
-        bodies = [b'{"n": %d}' % i for i in range(SIGNATURE_MEMO_ENTRIES + 40)]
+        bodies = [b'{"n": %d}' % i for i in range(MEMO_ENTRIES + 40)]
         for body in bodies:
             for sent in (body, long_body):
                 assert gw.handle_execute(sent)[0] in (200, 403)
-                assert len(gw._memo) <= SIGNATURE_MEMO_ENTRIES
+                assert len(gw._memo) <= MEMO_ENTRIES
                 assert long_body not in gw._memo
         # the oldest bodies made room for the newest
-        assert list(gw._memo) == bodies[-SIGNATURE_MEMO_ENTRIES:]
+        assert list(gw._memo) == bodies[-MEMO_ENTRIES:]
     finally:
         gw.shutdown()
 
@@ -868,7 +878,7 @@ def test_memo_answers_right_under_racing_threads(issuer, keystore,
     # more distinct bodies than the memo holds, each sent by every thread,
     # on more threads than cores: each mandate is accepted exactly once,
     # every other send is a replay, and the memo stays within its bound
-    bodies = [_body(make_request()) for _ in range(SIGNATURE_MEMO_ENTRIES + 44)]
+    bodies = [_body(make_request()) for _ in range(MEMO_ENTRIES + 44)]
     gw = _memo_gateway(keystore, T0 + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -885,7 +895,7 @@ def test_memo_answers_right_under_racing_threads(issuer, keystore,
     assert accepted == sorted(b"forwarded " + body for body in bodies)
     assert all(json.loads(payload)["reason"] == "ReplayDetected"
                for status, payload in answers if status != 200)
-    assert len(gw._memo) <= SIGNATURE_MEMO_ENTRIES
+    assert len(gw._memo) <= MEMO_ENTRIES
 
 
 def test_oversized_body_rejected(merchant, keystore, tmp_path):

@@ -4,8 +4,6 @@ import hashlib
 import json
 import random
 import struct
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -29,8 +27,9 @@ from ztrv import (
 )
 from ztrv import mandate as mandate_module
 from ztrv._ed25519 import ENGINE, _CryptographyEngine
-from ztrv.mandate import (SIGNATURE_MEMO_ENTRIES, context_problem,
-                          mandate_problem, request_problem, signing_bytes)
+from ztrv.mandate import (context_problem, mandate_problem, request_problem,
+                          signing_bytes)
+from ztrv.verifier import Reason, check
 
 from conftest import T0
 
@@ -658,7 +657,7 @@ def test_engines_answer_alike_on_mutated_signatures(seed, data):
 
 
 # ---------------------------------------------------------------------------
-# the keystore's signature memo
+# the signature rule as stage 2 applies it
 # ---------------------------------------------------------------------------
 
 class _Counting:
@@ -672,17 +671,17 @@ class _Counting:
         return self.engine.verify(public_key, signature, message)
 
 
-_MEMO_ISSUERS = [IssuerKey.from_seed(f"k{i}", bytes([i]) * 32) for i in (1, 2)]
+_TWO_ISSUERS = [IssuerKey.from_seed(f"k{i}", bytes([i]) * 32) for i in (1, 2)]
 
 
 @st.composite
-def _memo_mandates(draw):
-    """A mandate one of _MEMO_ISSUERS signed, perhaps with S + L, a weak R
-    or flipped bits in its signature, a moved message, or another key_id.
-    Few seeds, so that a pool holds some mandates twice."""
+def _signed_requests(draw):
+    """A request whose mandate one of _TWO_ISSUERS signed, perhaps with
+    S + L, a weak R or flipped bits in its signature, a moved message, or
+    another key_id."""
     context = ExecutionContext(task_id="t1", agent_id="a1", merchant_id="m1",
                                scope="s1")
-    mandate = issue_mandate(draw(st.sampled_from(_MEMO_ISSUERS)), context,
+    mandate = issue_mandate(draw(st.sampled_from(_TWO_ISSUERS)), context,
                             PaymentPayload(1, "USD"), now=T0,
                             rng=random.Random(draw(st.integers(0, 2))))
     R, S = mandate.signature[:32], mandate.signature[32:]
@@ -694,112 +693,58 @@ def _memo_mandates(draw):
     signature = bytearray(R + S)
     for bit in draw(st.lists(st.integers(0, 8 * 64 - 1), max_size=2)):
         signature[bit // 8] ^= 1 << bit % 8
-    return dataclasses.replace(
+    return VerificationRequest(dataclasses.replace(
         mandate, signature=bytes(signature),
         issued_at=T0 + draw(st.integers(0, 1)),
-        key_id=draw(st.sampled_from(["k1", "k2", "unknown"])))
+        key_id=draw(st.sampled_from(["k1", "k2", "unknown"]))), context)
 
 
 @settings(max_examples=150, deadline=None)
-@given(pool=st.lists(_memo_mandates(), min_size=1, max_size=6),
-       data=st.data())
-def test_keystore_verify_answers_as_verify_signature(pool, data):
-    keystore = Keystore.for_issuers(*_MEMO_ISSUERS)
-    expected = []
-    for mandate in pool:
-        public_key = keystore.lookup(mandate.key_id)
-        expected.append(public_key is not None
-                        and verify_signature(mandate, public_key))
-    steps = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
-    counting = _Counting(ENGINE)
-    with mock.patch.object(mandate_module, "ENGINE", counting):
-        for i in steps:
-            assert keystore.verify(pool[i]) == expected[i]
-    # each distinct triple asked once: the pool fits in the memo
-    assert len(counting.asked) == len(set(counting.asked))
+@given(request=_signed_requests())
+def test_check_answers_as_verify_signature_under_the_named_key(request):
+    keystore = Keystore.for_issuers(*_TWO_ISSUERS)
+    public_key = keystore.lookup(request.mandate.key_id)
+    expected = (public_key is not None
+                and verify_signature(request.mandate, public_key))
+    reason, checked_under, _ = check(request, keystore)
+    assert reason is (None if expected else Reason.INVALID_SIGNATURE)
+    assert checked_under == public_key
 
 
-def test_keystore_memo_keeps_the_last_signatures_it_verified(
+def test_verify_signature_asks_the_engine_in_place_at_the_call(
         issuer, context, monkeypatch):
-    keystore = Keystore.for_issuers(issuer)
-    rng = random.Random(19)
-    mandates = [issue_mandate(issuer, context, PaymentPayload(1, "USD"),
-                              now=T0, rng=rng)
-                for _ in range(SIGNATURE_MEMO_ENTRIES + 3)]
-    counting = _Counting(ENGINE)
-    monkeypatch.setattr(mandate_module, "ENGINE", counting)
-    assert all(keystore.verify(mandate) for mandate in mandates)
-    assert keystore._memo.cache_info().currsize == SIGNATURE_MEMO_ENTRIES
-    assert all(keystore.verify(mandate) for mandate in mandates[3:])
-    assert len(counting.asked) == len(mandates)
-    assert keystore.verify(mandates[0])  # evicted: the engine is asked again
-    assert len(counting.asked) == len(mandates) + 1
-
-
-def test_keystore_asks_the_engine_in_place_at_the_call(issuer, context,
-                                                       monkeypatch):
-    keystore = Keystore.for_issuers(issuer)
     mandate = issue_mandate(issuer, context, PaymentPayload(1, "USD"),
                             now=T0, rng=random.Random(20))
-    assert keystore.verify(mandate)
     swapped = _Counting(ENGINES["cryptography"])
     monkeypatch.setattr(mandate_module, "ENGINE", swapped)
-    assert keystore.verify(mandate)
+    assert verify_signature(mandate, issuer.public_key)
     assert len(swapped.asked) == 1
+    # the engine's own verify, replaced as a probe replaces it, through check
     monkeypatch.setattr(mandate_module, "ENGINE", ENGINE)
-    asked = []
-    monkeypatch.setattr(ENGINE, "verify", lambda *args: asked.append(args))
-    assert keystore.verify(mandate) is True  # remembered for this engine
-    assert asked == []
-
-
-def test_keystore_memo_answers_right_under_racing_threads(issuer, context):
-    # more distinct signatures than the memo holds, half of them bad, on
-    # more threads than cores: every answer stays the engine's
-    rng = random.Random(22)
-    mandates = [issue_mandate(issuer, context, PaymentPayload(1, "USD"),
-                              now=T0, rng=rng)
-                for _ in range(SIGNATURE_MEMO_ENTRIES + 44)]
-    mandates[::2] = [dataclasses.replace(m, payload=PaymentPayload(2, "USD"))
-                     for m in mandates[::2]]
-    expected = [i % 2 == 1 for i in range(len(mandates))]
+    counting = _Counting(ENGINES["cryptography"])
+    monkeypatch.setattr(ENGINE, "verify", counting.verify)
     keystore = Keystore.for_issuers(issuer)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            runs = [pool.submit(lambda k: [keystore.verify(m) for m in
-                                           mandates[k:] + mandates[:k]], k)
-                    for k in range(0, 80, 10)]
-            answers = [run.result(timeout=60) for run in runs]
-    finally:
-        sys.setswitchinterval(interval)
-    for k, got in zip(range(0, 80, 10), answers):
-        assert got == expected[k:] + expected[:k]
-    assert keystore._memo.cache_info().currsize == SIGNATURE_MEMO_ENTRIES
-
-
-@pytest.mark.parametrize("first", [0, 1])
-def test_keystore_memo_tells_signed_messages_apart(issuer, context, first):
-    # one signature, on its own message and on a moved one, in either order
-    mandate = issue_mandate(issuer, context, PaymentPayload(1, "USD"),
-                            now=T0, rng=random.Random(23))
-    pair = [mandate, dataclasses.replace(mandate, issued_at=T0 + 1)]
-    keystore = Keystore.for_issuers(issuer)
-    assert keystore.verify(pair[first]) is (first == 0)
-    assert keystore.verify(pair[1 - first]) is (first == 1)
+    assert check(VerificationRequest(mandate, context), keystore)[0] is None
+    assert check(VerificationRequest(mandate, context), keystore)[0] is None
+    assert len(counting.asked) == 2
 
 
 def test_rebinding_a_key_id_never_reuses_the_old_keys_answers(issuer,
                                                               context):
+    # a rebound key_id verifies under its new key, and only under it
     other = IssuerKey.from_seed(issuer.key_id, bytes(range(32)))
     keystore = Keystore.for_issuers(issuer)
-    mine, theirs = (issue_mandate(key, context, PaymentPayload(1, "USD"),
-                                  now=T0, rng=random.Random(21))
-                    for key in (issuer, other))
-    assert keystore.verify(mine) and not keystore.verify(theirs)
+    mine, theirs = (VerificationRequest(
+        issue_mandate(key, context, PaymentPayload(1, "USD"), now=T0,
+                      rng=random.Random(21)), context)
+        for key in (issuer, other))
+
+    def signed(request):
+        return check(request, keystore)[0] is None
+
+    assert signed(mine) and not signed(theirs)
     keystore.add(issuer.key_id, other.public_key)
-    assert not keystore.verify(mine) and keystore.verify(theirs)
+    assert not signed(mine) and signed(theirs)
 
 
 def test_issuer_key_requires_32_byte_seed():
