@@ -63,6 +63,18 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _windows(text: str) -> list[float]:
+    """An argparse type: a comma-separated list of windows VerifierConfig
+    takes."""
+    windows = _float_list(text)
+    for window in windows:
+        try:
+            VerifierConfig(window=window)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return windows
+
+
 def _ensure_out_dir(path_text: str) -> None:
     path = Path(path_text)
     try:
@@ -86,15 +98,29 @@ def _write_report(args, experiment: str, items_key: str, items: list,
     """Write ``items`` as ``experiment``'s CSV and JSON reports under --out.
 
     The CSV has a row per item; the JSON object holds the experiment's name,
-    --seed, ``fields`` and the items under ``items_key``.  Returns the
-    command's exit code, 0.
+    --seed, ``fields`` and the items under ``items_key``.  The files are
+    named ``<experiment>_report`` with --fixed-name, else after the UTC
+    time.  Returns the command's exit code, 0.
     """
-    from .simharness import report_basename, write_report_files
-    csv_path, json_path = write_report_files(
-        args.out, report_basename(experiment, args.fixed_name),
-        items[0].CSV_FIELDS, [item.csv_row() for item in items],
-        {"experiment": experiment, "seed": args.seed, **fields,
-         items_key: [asdict(item) for item in items]})
+    # here, so that `ztrv serve` loads neither
+    import csv
+    from datetime import datetime, timezone
+    if args.fixed_name:
+        basename = f"{experiment}_report"
+    else:
+        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+        basename = f"{experiment}_{stamp}"
+    csv_path = Path(args.out) / f"{basename}.csv"
+    json_path = Path(args.out) / f"{basename}.json"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(items[0].CSV_FIELDS)
+        writer.writerows(item.csv_row() for item in items)
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump({"experiment": experiment, "seed": args.seed, **fields,
+                   items_key: [asdict(item) for item in items]},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -309,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ttl-sweep",
                        help="peak registry occupancy vs validity window "
                             "(on workload timestamps)")
-    p.add_argument("--windows", type=_float_list, default=[5, 30, 60, 300],
+    p.add_argument("--windows", type=_windows, default=[5, 30, 60, 300],
                    help="comma-separated window sizes in seconds "
                         "(default 5,30,60,300)")
     p.add_argument("--rate", type=_number(float), default=10_000.0,

@@ -257,34 +257,6 @@ def _http_date(second: int) -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-def _parse_head(head: bytearray, start_line: re.Pattern,
-                ) -> tuple[re.Match, dict[str, str]] | None:
-    """``(start, fields)`` of a message head, or None.
-
-    ``head`` ends before the empty line.  ``start`` is ``start_line``
-    matched on the first line.  Field names are lower-cased; a field sent
-    several times has its values joined by ", " (RFC 9110 §5.3).  None means
-    the head breaks RFC 9112's syntax or the limits above.
-    """
-    lines = head.decode("latin-1").split("\r\n")
-    if len(lines) > MAX_HEADERS + 1:
-        return None
-    if len(head) > MAX_LINE - 2 and any(len(line) > MAX_LINE - 2
-                                        for line in lines):
-        return None
-    start = start_line.fullmatch(lines[0])
-    if start is None:
-        return None
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        field = _FIELD_LINE.fullmatch(line)
-        if field is None:
-            return None
-        name, value = field[1].lower(), field[2].strip(" \t")
-        fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    return start, fields
-
-
 def _framed_length(fields: dict[str, str]) -> int | None:
     """The body length a head's fields state, -1 if they state none, or None.
 
@@ -344,31 +316,60 @@ def _read_exactly(conn: socket.socket, buffer: bytearray,
 
 
 def _read_head(conn: socket.socket, buffer: bytearray,
-               recv_buffer: memoryview, deadline: float) -> bytearray | None:
-    """The message head at the front of ``buffer``, read from ``conn`` as
-    needed.
+               recv_buffer: memoryview, deadline: float,
+               start_line: re.Pattern,
+               ) -> tuple[re.Match, dict[str, str]] | None:
+    """``(start, fields)`` of the message head at the front of ``buffer``,
+    read from ``conn`` as needed; None if it breaks RFC 9112's syntax or the
+    limits above.
 
-    The head and the empty line that ends it are taken from ``buffer``;
-    bytes after them stay there.  None means the head breaks the limits
-    above, or ends its lines with a bare LF, which this reader does not
-    accept; ``buffer`` then holds what was read.  Raises EOFError when
-    ``conn`` ends before the head does, and TimeoutError once ``deadline``
-    has passed.
+    Each line is checked once, as it arrives: it must fit the limits and end
+    with CRLF, not a bare LF.  Once the empty line ends the head, ``start``
+    is ``start_line`` matched on the first line, and the other lines must
+    be fields.  Field names are lower-cased; a field sent several times has
+    its values joined by ", " (RFC 9110 §5.3).  The head and the empty line
+    are then taken from ``buffer``; after None, ``buffer`` holds what was
+    read.  Raises EOFError when ``conn`` ends before the head does, and
+    TimeoutError once ``deadline`` has passed.
     """
-    end = buffer.find(b"\r\n\r\n")
-    while end < 0:
-        # limits on the head so far: its last line and its line count
-        if (len(buffer) - buffer.rfind(b"\n") > MAX_LINE
-                or buffer.count(b"\n") > MAX_HEADERS + 1
-                or b"\n\n" in buffer):
+    # the start of the line being read and of its unsearched bytes, and
+    # the number of lines before it
+    line = searched = count = 0
+    while True:
+        newline = buffer.find(b"\n", searched)
+        if newline < 0:
+            # the line so far, without its LF, already fills MAX_LINE
+            if len(buffer) - line >= MAX_LINE:
+                return None
+            searched = len(buffer)
+            if not _receive(conn, buffer, recv_buffer, deadline):
+                raise EOFError("closed before the end of the head")
+            continue
+        # no CR (13) before the LF is a bare LF
+        if (newline == line or buffer[newline - 1] != 13
+                or newline + 1 - line > MAX_LINE):
             return None
-        searched = max(0, len(buffer) - 3)
-        if not _receive(conn, buffer, recv_buffer, deadline):
-            raise EOFError("closed before the end of the head")
-        end = buffer.find(b"\r\n\r\n", searched)
-    head = buffer[:end]
-    del buffer[:end + 4]
-    return head
+        if newline == line + 1:  # the empty line
+            break
+        if count > MAX_HEADERS:
+            return None
+        count += 1
+        line = searched = newline + 1
+    if not count:  # the head starts with the empty line
+        return None
+    first, *field_lines = buffer[:line - 2].decode("latin-1").split("\r\n")
+    start = start_line.fullmatch(first)
+    if start is None:
+        return None
+    fields: dict[str, str] = {}
+    for text in field_lines:
+        field = _FIELD_LINE.fullmatch(text)
+        if field is None:
+            return None
+        name, value = field[1].lower(), field[2].strip(" \t")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    del buffer[:newline + 1]
+    return start, fields
 
 
 class _HttpService:
@@ -494,13 +495,10 @@ class _HttpService:
                                                       recv_buffer, deadline):
                 return
             try:
-                head = _read_head(conn, buffer, recv_buffer, deadline)
+                request = _read_head(conn, buffer, recv_buffer, deadline,
+                                     _REQUEST_LINE)
             except EOFError:
                 return
-            if head is None:
-                head, request = buffer, None
-            else:
-                request = _parse_head(head, _REQUEST_LINE)
             if request is None:
                 status, payload, headers = self.route(None, None, None)
                 keep_alive = False
@@ -532,8 +530,9 @@ class _HttpService:
                     keep_alive = False
             if log.isEnabledFor(logging.DEBUG):
                 # before the answer, so that a client that has it can find
-                # the line
-                line = head.partition(b"\r\n")[0].decode("latin-1")
+                # the line; a head that cannot be read is still in buffer
+                line = (buffer.partition(b"\r\n")[0].decode("latin-1")
+                        if request is None else start.string)
                 log.debug('%s "%s" %d', client, line, status)
             self._respond(conn, status, payload, headers, keep_alive)
             if not keep_alive:
@@ -648,17 +647,16 @@ def _read_answer(conn: socket.socket, deadline: float,
     The request was HTTP/1.0, so the answer is not chunked (RFC 9112 §6.1):
     its body ends after its one Content-Length, or where ``conn`` ends.
     None means the answer cannot be read: a status line other than
-    ``HTTP/1.x`` and a final status, a head _parse_head or _framed_length
+    ``HTTP/1.x`` and a final status, a head _read_head or _framed_length
     cannot read, a body shorter than its length, or one longer than
     ANSWER_LIMIT.  Raises TimeoutError once ``deadline`` has passed.
     """
     buffer = bytearray()
     recv_buffer = memoryview(bytearray(RECV_SIZE))
     try:
-        head = _read_head(conn, buffer, recv_buffer, deadline)
+        answer = _read_head(conn, buffer, recv_buffer, deadline, _STATUS_LINE)
     except EOFError:
         return None
-    answer = None if head is None else _parse_head(head, _STATUS_LINE)
     if answer is None:
         return None
     status, fields = answer

@@ -14,17 +14,13 @@ duration from the caller; the command line (ztrv.cli) holds the defaults.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from enum import Enum
 from itertools import groupby
-from pathlib import Path
 
 from .mandate import (
     ExecutionContext,
@@ -458,30 +454,3 @@ def throughput_bench(rates: list[float], duration: float,
         points.append(_bench_point(rate, rate, duration, concurrency, seed,
                                    pace_s=pace_s, batch_size=batch_size))
     return points
-
-
-# ---------------------------------------------------------------------------
-# Report files
-# ---------------------------------------------------------------------------
-
-def report_basename(experiment: str, fixed_name: bool) -> str:
-    if fixed_name:
-        return f"{experiment}_report"
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return f"{experiment}_{stamp}"
-
-
-def write_report_files(out_dir, basename: str, csv_fields, csv_rows,
-                       json_obj) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{basename}.csv"
-    json_path = out / f"{basename}.json"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_fields)
-        writer.writerows(csv_rows)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(json_obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path

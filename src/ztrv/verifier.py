@@ -11,7 +11,9 @@ Stages run in a fixed order and short-circuit on the first failure:
 Only a request that passes every enabled stage is authorized; every other
 path is an explicit rejection, and unexpected states reject rather than
 accept.  Modes exist solely to ablate stages 4 and 5 in experiments, which
-build their configs in Python; the gateway always runs Mode.FULL.
+build their configs in Python.  A gateway whose config ``load_config`` read
+always runs Mode.FULL; one built in Python runs the mode its VerifierConfig
+names (acceptance criterion 8 builds a Mode.BASELINE gateway).
 
 Stages 1-2 depend only on the request and the keystore (``check``), stages
 3-5 on the time, the registry and the key stage 2 used (``admit``);

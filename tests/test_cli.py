@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import select
 import shutil
 import signal
@@ -61,6 +62,9 @@ def test_unknown_flag():
     ["ttl-sweep", "--rate", "0.05", "--duration", "10"],
     ["attack-eval", "--n", "50", "--replays", "100"],
     ["ablation", "--n", "50", "--replays", "51"],
+    # windows VerifierConfig refuses, before any workload is generated
+    ["ttl-sweep", "--windows", "0.0001"],
+    ["ttl-sweep", "--windows", "2e12"],
 ])
 def test_bad_flag_values_exit_one(argv):
     assert main(argv) == 1
@@ -125,7 +129,11 @@ def test_attack_eval_full(tmp_path, capsys):
     json_path = tmp_path / "attack_eval_report.json"
     header = csv_path.read_text().splitlines()[0]
     assert header == ",".join(SimReport.CSV_FIELDS)
-    obj = json.loads(json_path.read_text())
+    # LF line ends; JSON with sorted keys, indented by 2, and a final LF
+    assert b"\r" not in csv_path.read_bytes()
+    text = json_path.read_text()
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
     assert obj["experiment"] == "attack_eval"
     assert obj["mode"] == "full"
     assert [r["interception_rate"] for r in obj["reports"]] == [1.0, 1.0, 1.0]
@@ -224,7 +232,9 @@ def test_timestamped_name_is_default(tmp_path, capsys):
     assert rc == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2
-    assert all(n.startswith("ttl_sweep_2") for n in names)  # timestamped
+    stamps = {re.fullmatch(r"ttl_sweep_(\d{8}T\d{6}Z)\.(?:csv|json)", n)[1]
+              for n in names}
+    assert len(stamps) == 1  # one UTC timestamp names both files
 
 
 # ---------------------------------------------------------------------------

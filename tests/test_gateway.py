@@ -45,8 +45,8 @@ from ztrv import (
 )
 from ztrv import gateway as gateway_module
 from ztrv import mandate as mandate_module
-from ztrv.gateway import (HANDLER_THREADS, MEMO_BODY_LIMIT, MEMO_ENTRIES,
-                          parse_listen_address)
+from ztrv.gateway import (HANDLER_THREADS, MAX_HEADERS, MAX_LINE,
+                          MEMO_BODY_LIMIT, MEMO_ENTRIES, parse_listen_address)
 from ztrv.mandate import decode_json, request_problem
 from ztrv.registry import PER_ENTRY_BYTES
 
@@ -1380,8 +1380,12 @@ def test_fresh_connections_start_no_threads(pooled_gateway, monkeypatch):
 def test_access_log_at_debug(idle_gateway, caplog):
     caplog.set_level(logging.DEBUG, logger="ztrv.gateway")
     assert _get(f"{idle_gateway.base_url}/healthz")[0] == 200
-    assert any('"GET /healthz HTTP/1.1" 200' in record.getMessage()
-               for record in caplog.records)
+    # a head that cannot be read is logged by its first line too
+    refused = _exchange(idle_gateway, b"GET  /healthz HTTP/1.1\r\n\r\n")
+    assert [status for status, _, _ in refused] == [403]
+    messages = [record.getMessage() for record in caplog.records]
+    assert any('"GET /healthz HTTP/1.1" 200' in m for m in messages)
+    assert any('"GET  /healthz HTTP/1.1" 403' in m for m in messages)
 
 
 # ---------------------------------------------------------------------------
@@ -1480,6 +1484,108 @@ def test_head_at_the_limits_is_read(pooled_gateway, path, fields):
     responses = _exchange(pooled_gateway, head + b"\r\n")
     assert [status for status, _, _ in responses] == \
         [200 if path == b"/healthz" else 404]
+
+
+def test_head_at_both_limits_is_read_in_linear_time(idle_gateway):
+    # 100 header lines, 99 of MAX_LINE bytes with their CRLF (6.5 MB): a
+    # reader that rescans the whole head after each read spends seconds of
+    # CPU on it
+    line = b"X-A: " + b"b" * (MAX_LINE - 7) + b"\r\n"
+    head = (b"GET /healthz HTTP/1.1\r\n" + line * (MAX_HEADERS - 1) +
+            b"Connection: close\r\n\r\n")
+    started = time.process_time()
+    responses = _exchange(idle_gateway, head)
+    spent = time.process_time() - started
+    assert [status for status, _, _ in responses] == [200]
+    assert spent < 1
+
+
+# start lines, each with the pattern that takes it (None: neither does)
+_START_LINES = [
+    (b"GET /healthz HTTP/1.1", gateway_module._REQUEST_LINE),
+    (b"POST /execute HTTP/1.0", gateway_module._REQUEST_LINE),
+    (b"HTTP/1.1 200 OK", gateway_module._STATUS_LINE),
+    (b"HTTP/1.0 409", gateway_module._STATUS_LINE),
+    (b"GET  /healthz HTTP/1.1", None),
+    (b"", None),  # the head starts with the empty line
+]
+_FIELD_LINES = [b"Host: ztrv", b"Content-Length: 2", b"X-A: b\t ", b"x-a:c"]
+# field lines _read_head refuses; the last is MAX_LINE + 1 bytes with CRLF
+_REFUSED_LINES = [b"X-A: b\rc", b" folded", b"X-A: " + b"b" * (MAX_LINE - 6)]
+# sent after each head
+_TRAILER = b"{}"
+
+
+@st.composite
+def _sendable_heads(draw):
+    """``(data, sizes, refused, pattern)``: a head and _TRAILER, the sizes
+    of the reads to split them into, whether the head is refused whatever
+    its start line, and the pattern its start line matches."""
+    start, pattern = draw(st.sampled_from(_START_LINES))
+    fields = draw(st.lists(st.sampled_from(_FIELD_LINES + _REFUSED_LINES[:2]),
+                           max_size=4))
+    # at most one long line, at the limit or one byte over it, so that the
+    # data fits in the socket's buffer
+    long = draw(st.sampled_from([None, b"X-A: " + b"b" * (MAX_LINE - 7),
+                                 _REFUSED_LINES[2]]))
+    if long is not None:
+        fields.insert(draw(st.integers(0, len(fields))), long)
+    pad = draw(st.sampled_from([0, MAX_HEADERS, MAX_HEADERS + 1]))
+    if pad:
+        fields = (fields + [b"X-B: c"] * pad)[:pad]
+    lines = [start, *fields, b""]
+    ends = [b"\r\n"] * len(lines)
+    if draw(st.booleans()):
+        ends[draw(st.integers(0, len(lines) - 1))] = b"\n"  # a bare LF
+    data = b"".join(map(bytes.__add__, lines, ends)) + _TRAILER
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(data) - 1),
+                                    max_size=8))))
+    sizes = [end - begin for begin, end in zip([0] + cuts, cuts)]
+    refused = (b"\n" in ends or not start or len(fields) > MAX_HEADERS
+               or any(field in _REFUSED_LINES for field in fields))
+    return data, sizes, refused, pattern
+
+
+class _SplitSocket(socket.socket):
+    """A socket whose reads return at most the next of ``sizes`` bytes."""
+
+    sizes = iter(())
+
+    def recv_into(self, buffer, nbytes=0, flags=0):
+        return super().recv_into(buffer, next(self.sizes, nbytes), flags)
+
+
+def _read_sent_head(data: bytes, sizes: list[int], start_line):
+    """``(start's groups, fields)`` _read_head reads from ``data`` sent
+    through a socketpair, in reads of ``sizes`` bytes and then of the rest;
+    None if it refuses the head."""
+    sender, receiver = socket.socketpair()
+    with sender, _SplitSocket(fileno=receiver.detach()) as reader:
+        reader.sizes = iter(sizes)
+        sender.settimeout(5)
+        sender.sendall(data)
+        buffer = bytearray()
+        head = gateway_module._read_head(
+            reader, buffer, memoryview(bytearray(len(data))),
+            time.monotonic() + 10, start_line)
+    if head is None:
+        assert data.startswith(buffer)  # what was read is left in buffer
+        return None
+    assert _TRAILER.startswith(buffer)  # the head, and only it, is taken
+    start, fields = head
+    return start.groups(), fields
+
+
+@pytest.mark.parametrize("start_line", [gateway_module._REQUEST_LINE,
+                                        gateway_module._STATUS_LINE],
+                         ids=["request", "status"])
+@settings(max_examples=25, deadline=None)
+@given(head=_sendable_heads())
+def test_head_is_read_alike_however_it_arrives(start_line, head):
+    data, sizes, refused, pattern = head
+    whole = _read_sent_head(data, [], start_line)
+    assert _read_sent_head(data, sizes, start_line) == whole
+    assert (whole is None) == (refused or pattern is not start_line)
 
 
 @pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD", "OPTIONS"])

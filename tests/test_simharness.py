@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -24,14 +25,14 @@ from ztrv import (
     verify_signature,
 )
 from ztrv import mandate, simharness
+from ztrv.cli import _write_report
 from ztrv.registry import PER_ENTRY_BYTES
 from ztrv.simharness import (
     MERCHANT_POOL,
     ROGUE_SCOPE_POOL,
     SCOPE_POOL,
-    report_basename,
+    TtlSweepPoint,
     summarize_timings,
-    write_report_files,
 )
 from ztrv.verifier import Decision, Reason
 
@@ -396,18 +397,35 @@ def test_summarize_timings_percentiles():
     assert summarize_timings([])["total_ns"] == {"p50": 0, "p90": 0, "p99": 0}
 
 
-def test_report_basename():
-    assert report_basename("ablation", True) == "ablation_report"
-    stamped = report_basename("ablation", False)
-    assert re.fullmatch(r"ablation_\d{8}T\d{6}Z", stamped)
+def _report_args(out, fixed_name):
+    return argparse.Namespace(out=str(out), fixed_name=fixed_name, seed=7)
 
 
-def test_write_report_files(tmp_path):
-    csv_path, json_path = write_report_files(
-        tmp_path / "out", "exp_report", ("a", "b"), [[1, 2], [3, 4]],
-        {"k": [1, 2]})
-    assert csv_path.read_text() == "a,b\n1,2\n3,4\n"
-    assert json.loads(json_path.read_text()) == {"k": [1, 2]}
+def test_report_basename(tmp_path, capsys):
+    # the command line names the report files of a harness run
+    points = [TtlSweepPoint(1.0, 2, 3)]
+    stamped = tmp_path / "stamped"
+    stamped.mkdir()
+    _write_report(_report_args(tmp_path, True), "ablation", "points", points)
+    _write_report(_report_args(stamped, False), "ablation", "points", points)
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.glob("*.*")) == [
+        "ablation_report.csv", "ablation_report.json"]
+    stems = {p.stem for p in stamped.iterdir()}
+    assert len(stems) == 1
+    assert re.fullmatch(r"ablation_\d{8}T\d{6}Z", stems.pop())
+
+
+def test_write_report_files(tmp_path, capsys):
+    points = [TtlSweepPoint(1.0, 2, 3), TtlSweepPoint(2.5, 4, 5)]
+    _write_report(_report_args(tmp_path, True), "exp", "points", points,
+                  k=[1, 2])
+    capsys.readouterr()
+    assert (tmp_path / "exp_report.csv").read_text() == (
+        "window,peak_entries,bytes_estimate\n1,2,3\n2.5,4,5\n")
+    assert json.loads((tmp_path / "exp_report.json").read_text()) == {
+        "experiment": "exp", "seed": 7, "k": [1, 2],
+        "points": [dataclasses.asdict(p) for p in points]}
 
 
 def test_sim_report_json_dict_roundtrips():
