@@ -1,10 +1,7 @@
-"""Ed25519 signing backend.
+"""Ed25519 signing backend: the system libsodium, bound through ctypes.
 
-Binds the system libsodium through ctypes when available and falls back to
-the ``cryptography`` package otherwise.  Both produce standard RFC 8032
-detached signatures, so keys and signatures are interchangeable between
-backends.  The libsodium path exists because per-call object construction
-in ``cryptography`` costs enough to matter on the gateway hot path.
+It is the one engine; without libsodium, importing this module raises
+ImportError.  Signatures are standard RFC 8032 detached signatures.
 
 The engine does Ed25519 only.  The GIL is released once per verify
 (``mandate.verify_signature``), for the signature check; the context hash's
@@ -37,13 +34,14 @@ def _encodings(ys) -> frozenset[bytes]:
 _NON_CANONICAL = _encodings(range(_P, 1 << 255))
 # the y of each point of order 1, 2, 4 or 8, which libsodium's
 # has_small_order refuses (with p and p + 1, refused above).  Under an
-# engine that checks no key, a key A of small order takes the signature
-# R = -[k]A, S = 0 for any message whose k falls in the right class: anyone
-# can forge.  An R of small order lets a key's holder sign with r = 0 a
-# signature libsodium refuses and other engines accept.
+# Ed25519 check that tests no key, as OpenSSL's does, a key A of small order
+# takes the signature R = -[k]A, S = 0 for any message whose k falls in the
+# right class: anyone can forge.  An R of small order lets a key's holder
+# sign with r = 0 a signature libsodium refuses and such a check accepts.
 _SMALL_ORDER = _encodings({0, 1, _Y8, _P - _Y8, _P - 1})
 # The 48 encodings libsodium refuses as a public key and as a signature's R;
-# ``mandate.verify_signature`` refuses them on every engine.  Chalkias,
+# ``mandate.verify_signature`` refuses them before libsodium is asked, so
+# the rule does not rest on one libsodium version's checks.  Chalkias,
 # Garillot and Nikolaenko, "Taming the many EdDSAs" (SSR 2020,
 # https://eprint.iacr.org/2020/1244), catalogue how engines differ on them.
 WEAK_ENCODINGS = _NON_CANONICAL | _SMALL_ORDER
@@ -121,65 +119,17 @@ class _SodiumEngine:
         return secret[SEED_LEN:], secret
 
 
-class _CryptographyEngine:
-    name = "cryptography"
-
-    def __init__(self):
-        from cryptography.hazmat.primitives.asymmetric import ed25519
-        from cryptography.exceptions import InvalidSignature
-        self._ed25519 = ed25519
-        self._invalid = InvalidSignature
-        self._private_cache: dict[bytes, object] = {}
-        self._public_cache: dict[bytes, object] = {}
-        self._cache_lock = threading.Lock()
-
-    def public_key(self, seed: bytes) -> bytes:
-        from cryptography.hazmat.primitives import serialization
-        priv = self._private(seed)
-        return priv.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-
-    def sign(self, seed: bytes, message: bytes) -> bytes:
-        return self._private(seed).sign(message)
-
-    def verify(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
-        if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
-            return False
-        with self._cache_lock:
-            pub = self._public_cache.get(public_key)
-        if pub is None:
-            try:
-                pub = self._ed25519.Ed25519PublicKey.from_public_bytes(public_key)
-            except ValueError:
-                return False
-            with self._cache_lock:
-                self._public_cache[public_key] = pub
-        try:
-            pub.verify(signature, message)
-            return True
-        except self._invalid:
-            return False
-
-    def _private(self, seed: bytes):
-        if len(seed) != SEED_LEN:
-            raise ValueError("seed must be 32 bytes")
-        with self._cache_lock:
-            priv = self._private_cache.get(seed)
-        if priv is None:
-            priv = self._ed25519.Ed25519PrivateKey.from_private_bytes(seed)
-            with self._cache_lock:
-                self._private_cache[seed] = priv
-        return priv
-
-
-def _load_engine():
+def _load_engine() -> _SodiumEngine:
+    """The system libsodium, or an ImportError: ztrv has no other verifier,
+    so nothing imports it, and nothing serves, without one."""
     path = ctypes.util.find_library("sodium")
-    if path is not None:
-        try:
-            return _SodiumEngine(ctypes.CDLL(path))
-        except (OSError, AttributeError, RuntimeError):
-            pass
-    return _CryptographyEngine()
+    if path is None:
+        # ctypes.CDLL(None) would load this process itself
+        raise ImportError("ztrv needs libsodium, and no libsodium was found")
+    try:
+        return _SodiumEngine(ctypes.CDLL(path))
+    except (OSError, AttributeError, RuntimeError) as exc:
+        raise ImportError(f"ztrv needs libsodium: {path}: {exc}") from exc
 
 
 ENGINE = _load_engine()

@@ -249,11 +249,11 @@ def issue_mandate(key: IssuerKey, context: ExecutionContext,
 
 def verify_signature(mandate: Mandate, public_key: bytes) -> bool:
     """Whether ``mandate.signature`` is ``public_key``'s signature of the
-    mandate, by libsodium's rule on every engine: a key or an R that is one
-    of ``WEAK_ENCODINGS`` is refused before the engine is asked."""
+    mandate, by libsodium's rule: a key or an R that is one of
+    ``WEAK_ENCODINGS`` is refused before the engine is asked."""
     signature = mandate.signature
-    # libsodium refuses a weak key or R before any arithmetic; other engines
-    # may not.  ``ENGINE.verify`` is looked up on every call, never bound
+    # refused here too, so that the rule is the same on every libsodium
+    # version.  ``ENGINE.verify`` is looked up on every call, never bound
     # once: a probe or a test may replace the engine or its verify
     return (public_key not in WEAK_ENCODINGS
             and signature[:32] not in WEAK_ENCODINGS

@@ -307,6 +307,34 @@ def test_resends_ask_the_engine_once(merchant, issuer, make_request,
         kind == "replay")
 
 
+@pytest.mark.parametrize("fault", [OSError, MemoryError, RuntimeError])
+def test_a_failing_ed25519_call_fails_closed(merchant, issuer, make_request,
+                                             monkeypatch, fault):
+    def failing_verify(*args):
+        raise fault("Ed25519 call failed")
+
+    with _gateway_to(f"{merchant.base_url}/fulfill",
+                     Keystore.for_issuers(issuer)) as gw:
+        request = make_request(now=gw.clock.now_ms())
+        body = _body(request)
+        with monkeypatch.context() as patch:
+            patch.setattr(mandate_module.ENGINE, "verify", failing_verify)
+            answers = _exchange(gw, b"POST /execute HTTP/1.1\r\n"
+                                b"Connection: close\r\nContent-Length: %d"
+                                b"\r\n\r\n%s" % (len(body), body))
+        # refused, or closed unanswered; never accepted, never remembered
+        assert [status for status, _, _ in answers] in ([], [403], [502])
+        assert len(merchant.ledger) == 0
+        assert body not in gw._memo
+        # the same body, once the engine answers, is decided afresh
+        assert [_post(f"{gw.base_url}/execute", body)[0]
+                for _ in range(2)] == [200, 403]
+        assert merchant.ledger.count(request.mandate.mandate_id) == 1
+        # and no handler thread was lost
+        assert _post_request(gw.base_url,
+                             make_request(now=gw.clock.now_ms()))[0] == 200
+
+
 def test_wrong_context_rejected_before_upstream(gateway, merchant,
                                                 make_request):
     request = make_request(now=gateway.clock.now_ms())

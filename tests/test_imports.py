@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# OpenSSL (through hashlib, hmac or ssl), and urllib.request with the
-# http.client and email packages it imports: serving needs none of them
+# OpenSSL (through hashlib, hmac or ssl), urllib.request with the
+# http.client and email packages it imports, and cryptography, which only
+# the tests use: serving needs none of them
 SERVING_NEVER_LOADS = ("hashlib", "_hashlib", "_ssl", "urllib.request",
-                       "http.client", "email")
+                       "http.client", "email", "cryptography")
 
 
 def _run(code: str):
@@ -69,3 +72,28 @@ for scheme in ("http", "https"):
 print(json.dumps(loaded))
 """)
     assert loaded == [False, True]
+
+
+@pytest.mark.parametrize("found", [None, "libabsent.so.1"])
+def test_without_libsodium_nothing_imports_or_serves(tmp_path, found):
+    # a sitecustomize makes the child's ctypes find no libsodium (None), or
+    # a name no library answers to
+    (tmp_path / "sitecustomize.py").write_text(
+        "import ctypes.util\n"
+        f"ctypes.util.find_library = lambda name: {found!r}\n")
+    (tmp_path / "ks.json").write_text("{}")
+    config = tmp_path / "gateway.json"
+    config.write_text(json.dumps({
+        "listen_address": "127.0.0.1:0",
+        "upstream_url": "http://127.0.0.1:9/unused",
+        "keystore_path": str(tmp_path / "ks.json")}))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]))
+    # one child at a time: the import alone, then `ztrv serve`
+    for argv in (["-c", "import ztrv"],
+                 ["-m", "ztrv", "serve", "--config", str(config)]):
+        child = subprocess.run([sys.executable, *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode != 0 and "listening" not in child.stdout
+        raised = child.stderr.strip().splitlines()[-1]
+        assert raised.startswith("ImportError: ") and "libsodium" in raised
