@@ -11,8 +11,8 @@ Any other request is answered with MalformedRequest and its connection
 closed.
 
 An accepted request is forwarded as one HTTP/1.0 POST on a new connection,
-and the upstream's answer is read by the same reader under one deadline for
-the whole exchange.  An upstream that cannot be reached, or whose answer
+and the upstream's answer is parsed by the same reader, _Reader, under one
+deadline for the whole exchange.  An upstream that cannot be reached, or whose answer
 cannot be read, gets the agent a 502 carrying the decision; the nonce stays
 consumed.  The module needs no urllib.request, http.client or email; only
 a gateway with an https upstream loads ssl.
@@ -285,91 +285,94 @@ def _remaining(deadline: float) -> float:
     return remaining
 
 
-def _receive(conn: socket.socket, buffer: bytearray, recv_buffer: memoryview,
-             deadline: float) -> int:
-    """Append the next bytes ``conn`` delivers to ``buffer``; 0 at its end.
+class _Reader:
+    """Parses the HTTP/1.x messages whose bytes are appended to ``buffer``;
+    it reads no socket."""
 
-    Raises TimeoutError once ``deadline`` (monotonic) has passed.  A timeout
-    per read alone would let a peer that trickles a byte now and then hold
-    its connection for good.
-    """
-    conn.settimeout(_remaining(deadline))
-    count = conn.recv_into(recv_buffer)
-    buffer += recv_buffer[:count]
-    return count
+    def __init__(self, start_line: re.Pattern):
+        self.start_line = start_line
+        self.buffer = bytearray()
+        # the start of the line being read and of its unsearched bytes, and
+        # the number of lines before it
+        self.scan = (0, 0, 0)
 
+    def head(self) -> tuple[re.Match, dict[str, str]] | None | bool:
+        """``(start, fields)`` of the head at the front of ``buffer``, taken
+        from it with its empty line; None until it ends, and False if it
+        breaks RFC 9112's syntax or the limits above.
 
-def _read_exactly(conn: socket.socket, buffer: bytearray,
-                  recv_buffer: memoryview, length: int,
-                  deadline: float) -> bytes | None:
-    """The first ``length`` bytes of ``buffer``, read from ``conn`` as
-    needed and taken from ``buffer``; None if ``conn`` ends first.
-
-    Raises TimeoutError once ``deadline`` (monotonic) has passed.
-    """
-    while len(buffer) < length:
-        if not _receive(conn, buffer, recv_buffer, deadline):
-            return None
-    body = bytes(buffer[:length])
-    del buffer[:length]
-    return body
-
-
-def _read_head(conn: socket.socket, buffer: bytearray,
-               recv_buffer: memoryview, deadline: float,
-               start_line: re.Pattern,
-               ) -> tuple[re.Match, dict[str, str]] | None:
-    """``(start, fields)`` of the message head at the front of ``buffer``,
-    read from ``conn`` as needed; None if it breaks RFC 9112's syntax or the
-    limits above.
-
-    Each line is checked once, as it arrives: it must fit the limits and end
-    with CRLF, not a bare LF.  Once the empty line ends the head, ``start``
-    is ``start_line`` matched on the first line, and the other lines must
-    be fields.  Field names are lower-cased; a field sent several times has
-    its values joined by ", " (RFC 9110 §5.3).  The head and the empty line
-    are then taken from ``buffer``; after None, ``buffer`` holds what was
-    read.  Raises EOFError when ``conn`` ends before the head does, and
-    TimeoutError once ``deadline`` has passed.
-    """
-    # the start of the line being read and of its unsearched bytes, and
-    # the number of lines before it
-    line = searched = count = 0
-    while True:
-        newline = buffer.find(b"\n", searched)
-        if newline < 0:
-            # the line so far, without its LF, already fills MAX_LINE
-            if len(buffer) - line >= MAX_LINE:
+        Each line is checked once, as its LF arrives: it must fit the limits
+        and end with CRLF, not a bare LF.  ``start`` is ``start_line``
+        matched on the first line; the others must be fields.  Field names
+        are lower-cased; a field sent several times has its values joined by
+        ", " (RFC 9110 §5.3).  After False, nothing is taken from ``buffer``.
+        """
+        buffer = self.buffer
+        line, searched, count = self.scan
+        while True:
+            newline = buffer.find(b"\n", searched)
+            if newline < 0:
+                # the line so far, without its LF, already fills MAX_LINE
+                if len(buffer) - line >= MAX_LINE:
+                    return False
+                self.scan = (line, len(buffer), count)
                 return None
-            searched = len(buffer)
-            if not _receive(conn, buffer, recv_buffer, deadline):
-                raise EOFError("closed before the end of the head")
-            continue
-        # no CR (13) before the LF is a bare LF
-        if (newline == line or buffer[newline - 1] != 13
-                or newline + 1 - line > MAX_LINE):
+            # no CR (13) before the LF is a bare LF
+            if (newline == line or buffer[newline - 1] != 13
+                    or newline + 1 - line > MAX_LINE):
+                return False
+            if newline == line + 1:  # the empty line
+                break
+            if count > MAX_HEADERS:
+                return False
+            count += 1
+            line = searched = newline + 1
+        self.scan = (0, 0, 0)
+        if not count:  # the head starts with the empty line
+            return False
+        first, *field_lines = buffer[:line - 2].decode("latin-1").split("\r\n")
+        start = self.start_line.fullmatch(first)
+        if start is None:
+            return False
+        fields: dict[str, str] = {}
+        for text in field_lines:
+            field = _FIELD_LINE.fullmatch(text)
+            if field is None:
+                return False
+            name, value = field[1].lower(), field[2].strip(" \t")
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+        del buffer[:newline + 1]
+        return start, fields
+
+    def body(self, length: int) -> bytes | None:
+        """The first ``length`` bytes of ``buffer``, taken from it; None
+        while it holds fewer."""
+        if len(self.buffer) < length:
             return None
-        if newline == line + 1:  # the empty line
-            break
-        if count > MAX_HEADERS:
+        body = bytes(self.buffer[:length])
+        del self.buffer[:length]
+        return body
+
+
+def _fill(conn: socket.socket, reader: _Reader, deadline: float) -> bool:
+    """Append the next bytes ``conn`` delivers to ``reader.buffer``; False
+    at its end.  Raises TimeoutError once ``deadline`` (monotonic) has
+    passed: a timeout per read alone would let a peer that trickles a byte
+    now and then hold its connection for good."""
+    conn.settimeout(_remaining(deadline))
+    data = conn.recv(RECV_SIZE)
+    reader.buffer += data
+    return bool(data)
+
+
+def _read(conn: socket.socket, reader: _Reader, deadline: float, step,
+          *args):
+    """What ``step(*args)`` returns once it is not None, filling ``reader``
+    from ``conn`` until then; None if ``conn`` ends first."""
+    while (result := step(*args)) is None:
+        if not _fill(conn, reader, deadline):
             return None
-        count += 1
-        line = searched = newline + 1
-    if not count:  # the head starts with the empty line
-        return None
-    first, *field_lines = buffer[:line - 2].decode("latin-1").split("\r\n")
-    start = start_line.fullmatch(first)
-    if start is None:
-        return None
-    fields: dict[str, str] = {}
-    for text in field_lines:
-        field = _FIELD_LINE.fullmatch(text)
-        if field is None:
-            return None
-        name, value = field[1].lower(), field[2].strip(" \t")
-        fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    del buffer[:newline + 1]
-    return start, fields
+    return result
 
 
 class _HttpService:
@@ -436,7 +439,6 @@ class _HttpService:
 
     def _serve(self) -> None:
         listener = self._listener
-        recv_buffer = memoryview(bytearray(RECV_SIZE))
         while True:
             try:
                 # looked up on every call, never cached: perfbench counts
@@ -460,8 +462,8 @@ class _HttpService:
                         # backlog until a worker is free
                         log.warning("cannot start a handler thread: %s", exc)
             try:
-                self._serve_connection(conn, address[0], recv_buffer)
-            except OSError:
+                self._serve_connection(conn, address[0])
+            except (TimeoutError, ConnectionError):
                 pass  # timed out, or the client went away: nothing to answer
             except Exception:
                 log.exception("error serving a connection from %s",
@@ -478,8 +480,7 @@ class _HttpService:
                     return
                 self._waiting += 1
 
-    def _serve_connection(self, conn: socket.socket, client: str,
-                          recv_buffer: memoryview) -> None:
+    def _serve_connection(self, conn: socket.socket, client: str) -> None:
         """Answer the requests on ``conn`` until it is to be closed.
 
         Each request has READ_TIMEOUT_S from the wait for its first byte to
@@ -488,18 +489,16 @@ class _HttpService:
         is answered by ``route(None, None, None)`` and the connection is
         closed.  Bytes read past a request's body start the next request.
         """
-        buffer = bytearray()
+        reader = _Reader(_REQUEST_LINE)
         while True:
             deadline = time.monotonic() + READ_TIMEOUT_S
-            if not buffer and not self._await_request(conn, buffer,
-                                                      recv_buffer, deadline):
+            if not reader.buffer and not self._await_request(conn, reader,
+                                                             deadline):
                 return
-            try:
-                request = _read_head(conn, buffer, recv_buffer, deadline,
-                                     _REQUEST_LINE)
-            except EOFError:
-                return
+            request = _read(conn, reader, deadline, reader.head)
             if request is None:
+                return
+            if not request:
                 status, payload, headers = self.route(None, None, None)
                 keep_alive = False
             else:
@@ -516,8 +515,8 @@ class _HttpService:
                     elif "keep-alive" in options:
                         keep_alive = True
                 if method == "GET" or method == "POST":
-                    body = self._read_body(conn, buffer, recv_buffer, deadline,
-                                           method, fields, http11)
+                    body = self._read_body(conn, reader, deadline, method,
+                                           fields, http11)
                     if body is None:
                         # rejected without parsing; drop the connection
                         # rather than draining the stream
@@ -530,17 +529,18 @@ class _HttpService:
                     keep_alive = False
             if log.isEnabledFor(logging.DEBUG):
                 # before the answer, so that a client that has it can find
-                # the line; a head that cannot be read is still in buffer
-                line = (buffer.partition(b"\r\n")[0].decode("latin-1")
-                        if request is None else start.string)
+                # the line; a head that cannot be read is still in the
+                # reader's buffer
+                line = (reader.buffer.partition(b"\r\n")[0].decode("latin-1")
+                        if not request else start.string)
                 log.debug('%s "%s" %d', client, line, status)
             self._respond(conn, status, payload, headers, keep_alive)
             if not keep_alive:
                 return
 
-    def _await_request(self, conn: socket.socket, buffer: bytearray,
-                       recv_buffer: memoryview, deadline: float) -> bool:
-        """Read the first bytes of the next request into ``buffer``; False
+    def _await_request(self, conn: socket.socket, reader: _Reader,
+                       deadline: float) -> bool:
+        """Read the first bytes of the next request into ``reader``; False
         if ``conn`` ends first or the service is stopping.
 
         While it waits, ``conn`` is idle: ``shutdown`` ends its reading, so
@@ -551,15 +551,15 @@ class _HttpService:
                 return False
             self._idle.add(conn)
         try:
-            return _receive(conn, buffer, recv_buffer, deadline) > 0
+            return _fill(conn, reader, deadline)
         finally:
             with self._lock:
                 self._idle.discard(conn)
 
-    def _read_body(self, conn: socket.socket, buffer: bytearray,
-                   recv_buffer: memoryview, deadline: float, method: str,
-                   fields: dict[str, str], http11: bool) -> bytes | None:
-        """The request body, taken from the front of ``buffer``, or None.
+    def _read_body(self, conn: socket.socket, reader: _Reader,
+                   deadline: float, method: str, fields: dict[str, str],
+                   http11: bool) -> bytes | None:
+        """The request body, taken from the front of ``reader``, or None.
 
         None means the body cannot be read: framing _framed_length cannot
         read; a Content-Length over the body limit; none on a POST; or a
@@ -570,11 +570,11 @@ class _HttpService:
             return None
         if length < 0:
             return b"" if method == "GET" else None
-        if (http11 and length > len(buffer)
+        if (http11 and length > len(reader.buffer)
                 and fields.get("expect", "").lower() == "100-continue"):
             conn.sendall(_CONTINUE)
         try:
-            return _read_exactly(conn, buffer, recv_buffer, length, deadline)
+            return _read(conn, reader, deadline, reader.body, length)
         except OSError:
             return None
 
@@ -647,28 +647,23 @@ def _read_answer(conn: socket.socket, deadline: float,
     The request was HTTP/1.0, so the answer is not chunked (RFC 9112 §6.1):
     its body ends after its one Content-Length, or where ``conn`` ends.
     None means the answer cannot be read: a status line other than
-    ``HTTP/1.x`` and a final status, a head _read_head or _framed_length
+    ``HTTP/1.x`` and a final status, a head _Reader or _framed_length
     cannot read, a body shorter than its length, or one longer than
     ANSWER_LIMIT.  Raises TimeoutError once ``deadline`` has passed.
     """
-    buffer = bytearray()
-    recv_buffer = memoryview(bytearray(RECV_SIZE))
-    try:
-        answer = _read_head(conn, buffer, recv_buffer, deadline, _STATUS_LINE)
-    except EOFError:
-        return None
-    if answer is None:
+    reader = _Reader(_STATUS_LINE)
+    answer = _read(conn, reader, deadline, reader.head)
+    if not answer:
         return None
     status, fields = answer
     length = _framed_length(fields)
     if length is None or length > ANSWER_LIMIT:
         return None
-    if length < 0:  # the body ends where conn does
-        while len(buffer) <= ANSWER_LIMIT:
-            if not _receive(conn, buffer, recv_buffer, deadline):
-                return int(status[1]), bytes(buffer)
-        return None  # longer than ANSWER_LIMIT
-    body = _read_exactly(conn, buffer, recv_buffer, length, deadline)
+    if length < 0:  # the body ends where conn does, unless it is too long
+        if _read(conn, reader, deadline, reader.body, ANSWER_LIMIT + 1):
+            return None
+        return int(status[1]), bytes(reader.buffer)
+    body = _read(conn, reader, deadline, reader.body, length)
     return None if body is None else (int(status[1]), body)
 
 

@@ -45,6 +45,7 @@ from ztrv import (
 )
 from ztrv import gateway as gateway_module
 from ztrv import mandate as mandate_module
+from ztrv import verifier as verifier_module
 from ztrv.gateway import (HANDLER_THREADS, MAX_HEADERS, MAX_LINE,
                           MEMO_BODY_LIMIT, MEMO_ENTRIES, parse_listen_address)
 from ztrv.mandate import decode_json, request_problem
@@ -307,32 +308,56 @@ def test_resends_ask_the_engine_once(merchant, issuer, make_request,
         kind == "replay")
 
 
-@pytest.mark.parametrize("fault", [OSError, MemoryError, RuntimeError])
-def test_a_failing_ed25519_call_fails_closed(merchant, issuer, make_request,
-                                             monkeypatch, fault):
-    def failing_verify(*args):
-        raise fault("Ed25519 call failed")
+# where a fault is made to strike, in the order a request reaches them
+_FAULT_SITES = {"decode": (gateway_module, "decode_json"),
+                "ed25519": (mandate_module.ENGINE, "verify"),
+                "context-hash": (verifier_module, "hash_context_fields"),
+                "claim": (NonceRegistry, "consume_once"),
+                "answer-read": (gateway_module, "_read_answer"),
+                "respond": (ZtrvGateway, "_respond")}
 
+
+@pytest.mark.parametrize("fault", [OSError, MemoryError, RuntimeError])
+@pytest.mark.parametrize("site", _FAULT_SITES)
+def test_a_fault_on_the_accept_path_fails_closed(merchant, issuer,
+                                                 make_request, monkeypatch,
+                                                 caplog, site, fault):
+    owner, name = _FAULT_SITES[site]
+    original = getattr(owner, name)
+
+    def failing(*args):
+        if site == "answer-read":
+            original(*args)  # once the merchant has written its ledger
+        raise fault(f"{site} failed")
+
+    claimed = site in ("answer-read", "respond")
     with _gateway_to(f"{merchant.base_url}/fulfill",
                      Keystore.for_issuers(issuer)) as gw:
         request = make_request(now=gw.clock.now_ms())
         body = _body(request)
         with monkeypatch.context() as patch:
-            patch.setattr(mandate_module.ENGINE, "verify", failing_verify)
+            patch.setattr(owner, name, failing)
             answers = _exchange(gw, b"POST /execute HTTP/1.1\r\n"
                                 b"Connection: close\r\nContent-Length: %d"
                                 b"\r\n\r\n%s" % (len(body), body))
-        # refused, or closed unanswered; never accepted, never remembered
-        assert [status for status, _, _ in answers] in ([], [403], [502])
-        assert len(merchant.ledger) == 0
-        assert body not in gw._memo
-        # the same body, once the engine answers, is decided afresh
+        # refused, or closed unanswered; never accepted
+        statuses = [status for status, _, _ in answers]
+        assert statuses == ([502] if site == "answer-read"
+                            and fault is OSError else [])
+        assert len(merchant.ledger) == claimed
+        if site in ("decode", "ed25519"):  # check did not finish
+            assert body not in gw._memo
+        # the same body, once the fault is lifted, is decided afresh
         assert [_post(f"{gw.base_url}/execute", body)[0]
-                for _ in range(2)] == [200, 403]
+                for _ in range(2)] == [403 if claimed else 200, 403]
         assert merchant.ledger.count(request.mandate.mandate_id) == 1
         # and no handler thread was lost
         assert _post_request(gw.base_url,
                              make_request(now=gw.clock.now_ms()))[0] == 200
+    # a connection closed unanswered is logged
+    assert statuses or any(
+        record.levelno == logging.ERROR and "127.0.0.1" in record.getMessage()
+        for record in caplog.records)
 
 
 def test_wrong_context_rejected_before_upstream(gateway, merchant,
@@ -1424,9 +1449,9 @@ MALFORMED = {"outcome": "REJECT", "reason": "MalformedRequest",
              "mandate_id": ""}
 
 
-def _exchange(service, data: bytes) -> list[tuple[int, dict, bytes]]:
-    """Send ``data`` on a new connection and read until the server closes
-    it; ``(status, headers, body)`` of each response, in order."""
+def _received(service, data: bytes) -> bytes:
+    """What the server sends on a new connection, ``data`` sent on it,
+    until it closes the connection."""
     received = b""
     with socket.create_connection((service.host, service.port),
                                   timeout=10 * SHORT_TIMEOUT_S) as sock:
@@ -1436,6 +1461,13 @@ def _exchange(service, data: bytes) -> list[tuple[int, dict, bytes]]:
                 received += chunk
         except ConnectionResetError:
             pass  # closed with request bytes still unread
+    return received
+
+
+def _exchange(service, data: bytes) -> list[tuple[int, dict, bytes]]:
+    """Send ``data`` on a new connection and read until the server closes
+    it; ``(status, headers, body)`` of each response, in order."""
+    received = _received(service, data)
     responses = []
     while received:
         head, _, rest = received.partition(b"\r\n\r\n")
@@ -1455,6 +1487,40 @@ def _assert_malformed_and_closed(responses):
     assert status == 403
     assert headers["connection"] == "close"
     assert json.loads(body) == MALFORMED
+
+
+_HEALTHY = (b"HTTP/1.1 200 OK\r\nDate: *\r\nContent-Length: 2\r\n"
+            b"Content-Type: text/plain\r\n%s\r\nok")
+_MALFORMED_403 = (b"HTTP/1.1 403 Forbidden\r\nDate: *\r\nContent-Length: 69\r\n"
+                  b"Content-Type: application/json\r\n%s\r\n"
+                  b'{"outcome": "REJECT", "reason": "MalformedRequest", '
+                  b'"mandate_id": ""}')
+_CLOSE = b"Connection: close\r\n"
+
+
+@pytest.mark.parametrize("sent, answer", [
+    (b"GET /healthz HTTP/1.1\r\n\r\n"
+     b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+     _HEALTHY % b"" + _HEALTHY % _CLOSE),
+    (b"GET /healthz HTTP/1.0\r\n\r\n", _HEALTHY % _CLOSE),
+    (b"GET  /healthz HTTP/1.1\r\n\r\n", _MALFORMED_403 % _CLOSE),
+    (b"PUT /execute HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nDate: *\r\nContent-Length: 22\r\n"
+     b"Content-Type: application/json\r\nConnection: close\r\n\r\n"
+     b'{"error": "not found"}'),
+    # the body never comes: it is unreadable once the read deadline passes
+    (b"POST /execute HTTP/1.1\r\nExpect: 100-continue\r\n"
+     b"Content-Length: 2\r\n\r\n",
+     b"HTTP/1.1 100 Continue\r\n\r\n" + _MALFORMED_403 % _CLOSE),
+    (b"POST /execute HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+     b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+     _MALFORMED_403 % b"" + _HEALTHY % _CLOSE),
+], ids=["keep-alive-then-close", "http-1.0", "refused-head", "put",
+        "100-continue", "malformed-execute"])
+def test_answers_are_these_bytes(pooled_gateway, sent, answer):
+    received = _received(pooled_gateway, sent)
+    # the Date value masked
+    assert re.sub(rb"Date: [^\r]*", b"Date: *", received) == answer
 
 
 @pytest.mark.parametrize("framing", [
@@ -1538,22 +1604,30 @@ _START_LINES = [
     (b"", None),  # the head starts with the empty line
 ]
 _FIELD_LINES = [b"Host: ztrv", b"Content-Length: 2", b"X-A: b\t ", b"x-a:c"]
-# field lines _read_head refuses; the last is MAX_LINE + 1 bytes with CRLF
+# field lines _Reader refuses; the last is MAX_LINE + 1 bytes with CRLF
 _REFUSED_LINES = [b"X-A: b\rc", b" folded", b"X-A: " + b"b" * (MAX_LINE - 6)]
 # sent after each head
 _TRAILER = b"{}"
 
 
+def _pieces(draw, data: bytes) -> list[bytes]:
+    """``data`` cut at up to 8 points drawn at random."""
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(data) - 1),
+                                    max_size=8))))
+    return [data[begin:end]
+            for begin, end in zip([0, *cuts], [*cuts, len(data)])]
+
+
 @st.composite
 def _sendable_heads(draw):
-    """``(data, sizes, refused, pattern)``: a head and _TRAILER, the sizes
-    of the reads to split them into, whether the head is refused whatever
-    its start line, and the pattern its start line matches."""
+    """``(data, pieces, refused, pattern)``: a head and _TRAILER, the pieces
+    to cut them into, whether the head is refused whatever its start line,
+    and the pattern its start line matches."""
     start, pattern = draw(st.sampled_from(_START_LINES))
     fields = draw(st.lists(st.sampled_from(_FIELD_LINES + _REFUSED_LINES[:2]),
                            max_size=4))
-    # at most one long line, at the limit or one byte over it, so that the
-    # data fits in the socket's buffer
+    # at most one long line, at the limit or one byte over it, so that each
+    # example stays small
     long = draw(st.sampled_from([None, b"X-A: " + b"b" * (MAX_LINE - 7),
                                  _REFUSED_LINES[2]]))
     if long is not None:
@@ -1566,40 +1640,28 @@ def _sendable_heads(draw):
     if draw(st.booleans()):
         ends[draw(st.integers(0, len(lines) - 1))] = b"\n"  # a bare LF
     data = b"".join(map(bytes.__add__, lines, ends)) + _TRAILER
-    cuts = sorted(set(draw(st.lists(st.integers(1, len(data) - 1),
-                                    max_size=8))))
-    sizes = [end - begin for begin, end in zip([0] + cuts, cuts)]
     refused = (b"\n" in ends or not start or len(fields) > MAX_HEADERS
                or any(field in _REFUSED_LINES for field in fields))
-    return data, sizes, refused, pattern
+    return data, _pieces(draw, data), refused, pattern
 
 
-class _SplitSocket(socket.socket):
-    """A socket whose reads return at most the next of ``sizes`` bytes."""
+def _fed(reader, pieces, step, *args):
+    """What ``step(*args)`` returns once it is not None, the next of
+    ``pieces`` appended to ``reader.buffer`` each time it is."""
+    while (result := step(*args)) is None:
+        reader.buffer += next(pieces)
+    return result
 
-    sizes = iter(())
 
-    def recv_into(self, buffer, nbytes=0, flags=0):
-        return super().recv_into(buffer, next(self.sizes, nbytes), flags)
-
-
-def _read_sent_head(data: bytes, sizes: list[int], start_line):
-    """``(start's groups, fields)`` _read_head reads from ``data`` sent
-    through a socketpair, in reads of ``sizes`` bytes and then of the rest;
-    None if it refuses the head."""
-    sender, receiver = socket.socketpair()
-    with sender, _SplitSocket(fileno=receiver.detach()) as reader:
-        reader.sizes = iter(sizes)
-        sender.settimeout(5)
-        sender.sendall(data)
-        buffer = bytearray()
-        head = gateway_module._read_head(
-            reader, buffer, memoryview(bytearray(len(data))),
-            time.monotonic() + 10, start_line)
-    if head is None:
-        assert data.startswith(buffer)  # what was read is left in buffer
+def _read_fed_head(data: bytes, pieces: list[bytes], start_line):
+    """``(start's groups, fields)`` a _Reader reads from ``pieces`` of
+    ``data`` fed one at a time; None if it refuses the head."""
+    reader = gateway_module._Reader(start_line)
+    head = _fed(reader, iter(pieces), reader.head)
+    if not head:
+        assert data.startswith(reader.buffer)  # what was fed is left
         return None
-    assert _TRAILER.startswith(buffer)  # the head, and only it, is taken
+    assert _TRAILER.startswith(reader.buffer)  # the head, and only it, is taken
     start, fields = head
     return start.groups(), fields
 
@@ -1607,13 +1669,31 @@ def _read_sent_head(data: bytes, sizes: list[int], start_line):
 @pytest.mark.parametrize("start_line", [gateway_module._REQUEST_LINE,
                                         gateway_module._STATUS_LINE],
                          ids=["request", "status"])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(head=_sendable_heads())
 def test_head_is_read_alike_however_it_arrives(start_line, head):
-    data, sizes, refused, pattern = head
-    whole = _read_sent_head(data, [], start_line)
-    assert _read_sent_head(data, sizes, start_line) == whole
+    data, pieces, refused, pattern = head
+    whole = _read_fed_head(data, [data], start_line)
+    assert _read_fed_head(data, pieces, start_line) == whole
     assert (whole is None) == (refused or pattern is not start_line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.binary(max_size=40))
+def test_pipelined_messages_are_read_alike_however_they_arrive(data, body):
+    # a head, its body and a second head
+    sent = (b"POST /execute HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            b"GET /healthz HTTP/1.1\r\n\r\n" % (len(body), body))
+    for pieces in [sent], _pieces(data.draw, sent):
+        reader = gateway_module._Reader(gateway_module._REQUEST_LINE)
+        pieces = iter(pieces)
+        start, fields = _fed(reader, pieces, reader.head)
+        assert start.groups() == ("POST", "/execute", "1")
+        assert fields == {"content-length": str(len(body))}
+        assert _fed(reader, pieces, reader.body, len(body)) == body
+        start, fields = _fed(reader, pieces, reader.head)
+        assert (start.groups(), fields) == (("GET", "/healthz", "1"), {})
+        assert not reader.buffer
 
 
 @pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD", "OPTIONS"])
