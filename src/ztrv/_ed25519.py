@@ -1,7 +1,10 @@
 """Ed25519 signing backend: the system libsodium, bound through ctypes.
 
 It is the one engine; without libsodium, importing this module raises
-ImportError.  Signatures are standard RFC 8032 detached signatures.
+ImportError.  Signatures are standard RFC 8032 detached signatures.  The
+engine holds no state but the library handle: a signer passes libsodium's
+64-byte secret key, the seed followed by the public key, which an
+``IssuerKey`` already holds.
 
 The engine does Ed25519 only.  The GIL is released once per verify
 (``mandate.verify_signature``), for the signature check; the context hash's
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
-import threading
 
 SEED_LEN = 32
 PUBLIC_KEY_LEN = 32
@@ -63,6 +65,8 @@ def public_key_problem(public_key: bytes) -> str | None:
 
 
 class _SodiumEngine:
+    # libsodium reads a fixed number of bytes through each pointer it is
+    # given, so every length is checked before a pointer is handed over
     name = "libsodium"
 
     def __init__(self, lib: ctypes.CDLL):
@@ -77,20 +81,22 @@ class _SodiumEngine:
             ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong,
             ctypes.c_char_p]
         self._lib = lib
-        # seed -> 64-byte secret key; issuers are few, so unbounded is fine
-        self._secret_cache: dict[bytes, bytes] = {}
-        self._cache_lock = threading.Lock()
 
     def public_key(self, seed: bytes) -> bytes:
-        return self._keypair(seed)[0]
+        if len(seed) != SEED_LEN:
+            raise ValueError("seed must be 32 bytes")
+        pk = ctypes.create_string_buffer(PUBLIC_KEY_LEN)
+        sk = ctypes.create_string_buffer(SECRET_KEY_LEN)
+        if self._lib.crypto_sign_ed25519_seed_keypair(pk, sk, seed) != 0:
+            raise RuntimeError("crypto_sign_ed25519_seed_keypair failed")
+        return pk.raw
 
-    def sign(self, seed: bytes, message: bytes) -> bytes:
-        secret = self._keypair(seed)[1]
+    def sign(self, secret_key: bytes, message: bytes) -> bytes:
+        if len(secret_key) != SECRET_KEY_LEN:
+            raise ValueError("secret key must be 64 bytes")
         sig = ctypes.create_string_buffer(SIGNATURE_LEN)
-        siglen = ctypes.c_ulonglong(0)
-        rc = self._lib.crypto_sign_ed25519_detached(
-            sig, ctypes.byref(siglen), message, len(message), secret)
-        if rc != 0:
+        if self._lib.crypto_sign_ed25519_detached(
+                sig, None, message, len(message), secret_key) != 0:
             raise RuntimeError("crypto_sign_ed25519_detached failed")
         return sig.raw
 
@@ -100,23 +106,6 @@ class _SodiumEngine:
         rc = self._lib.crypto_sign_ed25519_verify_detached(
             signature, message, len(message), public_key)
         return rc == 0
-
-    def _keypair(self, seed: bytes) -> tuple[bytes, bytes]:
-        if len(seed) != SEED_LEN:
-            raise ValueError("seed must be 32 bytes")
-        with self._cache_lock:
-            secret = self._secret_cache.get(seed)
-        if secret is None:
-            pk = ctypes.create_string_buffer(PUBLIC_KEY_LEN)
-            sk = ctypes.create_string_buffer(SECRET_KEY_LEN)
-            rc = self._lib.crypto_sign_ed25519_seed_keypair(pk, sk, seed)
-            if rc != 0:
-                raise RuntimeError("crypto_sign_ed25519_seed_keypair failed")
-            secret = sk.raw
-            with self._cache_lock:
-                self._secret_cache[seed] = secret
-        # public key is the trailing half of the secret key
-        return secret[SEED_LEN:], secret
 
 
 def _load_engine() -> _SodiumEngine:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 # CPython's own SHA-256, which hashlib falls back to: it loads no OpenSSL
@@ -203,7 +203,7 @@ class IssuerKey:
     """An Ed25519 issuing identity. The seed is the 32-byte RFC 8032 secret."""
 
     key_id: str
-    seed: bytes
+    seed: bytes = field(repr=False)  # the secret: kept out of logs
     public_key: bytes
 
     @classmethod
@@ -213,12 +213,11 @@ class IssuerKey:
 
     @classmethod
     def from_seed(cls, key_id: str, seed: bytes) -> "IssuerKey":
-        if len(seed) != SEED_LEN:
-            raise ValueError("seed must be 32 bytes")
         return cls(key_id=key_id, seed=seed, public_key=ENGINE.public_key(seed))
 
     def sign(self, message: bytes) -> bytes:
-        return ENGINE.sign(self.seed, message)
+        # libsodium's secret key is the seed followed by the public key
+        return ENGINE.sign(self.seed + self.public_key, message)
 
 
 def _hex_id(rng=None) -> str:

@@ -128,10 +128,18 @@ class VerifierConfig:
     skew_tolerance: float = 0.0
 
     def __post_init__(self):
-        # NaN passes the sign checks below, and a value whose milliseconds
-        # overflow a float would only fail later, in stage 3 of every verify
+        # a bool is no number (True would be 1 s).  NaN passes the sign checks
+        # below, and a value whose milliseconds overflow a float would only
+        # fail later, in stage 3 of every verify
         for name in ("window", "skew_tolerance"):
-            if not math.isfinite(getattr(self, name) * 1000):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number")
+            try:
+                finite = math.isfinite(value * 1000)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if self.window_ms < 1:
             raise ValueError("window must be at least 1 ms")

@@ -308,11 +308,33 @@ def test_resends_ask_the_engine_once(merchant, issuer, make_request,
         kind == "replay")
 
 
+class _SendFails:
+    """An upstream connection whose ``sendall`` raises ``fault``."""
+
+    def __init__(self, conn, fault):
+        self._conn, self._fault = conn, fault
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._conn.close()
+
+    def settimeout(self, timeout):
+        self._conn.settimeout(timeout)
+
+    def sendall(self, data):
+        raise self._fault("send failed")
+
+
 # where a fault is made to strike, in the order a request reaches them
 _FAULT_SITES = {"decode": (gateway_module, "decode_json"),
+                "key-lookup": (Keystore, "lookup"),
                 "ed25519": (mandate_module.ENGINE, "verify"),
                 "context-hash": (verifier_module, "hash_context_fields"),
                 "claim": (NonceRegistry, "consume_once"),
+                "connect": (ZtrvGateway, "_connect"),
+                "send": (ZtrvGateway, "_connect"),
                 "answer-read": (gateway_module, "_read_answer"),
                 "respond": (ZtrvGateway, "_respond")}
 
@@ -326,11 +348,17 @@ def test_a_fault_on_the_accept_path_fails_closed(merchant, issuer,
     original = getattr(owner, name)
 
     def failing(*args):
+        if site == "send":  # a real connection, on which no byte is sent
+            return _SendFails(original(*args), fault)
         if site == "answer-read":
             original(*args)  # once the merchant has written its ledger
         raise fault(f"{site} failed")
 
-    claimed = site in ("answer-read", "respond")
+    # how far the request got: check finished, its nonce was claimed, its
+    # body reached the merchant
+    checked = site not in ("decode", "key-lookup", "ed25519")
+    claimed = site in ("connect", "send", "answer-read", "respond")
+    reached = site in ("answer-read", "respond")
     with _gateway_to(f"{merchant.base_url}/fulfill",
                      Keystore.for_issuers(issuer)) as gw:
         request = make_request(now=gw.clock.now_ms())
@@ -342,15 +370,17 @@ def test_a_fault_on_the_accept_path_fails_closed(merchant, issuer,
                                 b"\r\n\r\n%s" % (len(body), body))
         # refused, or closed unanswered; never accepted
         statuses = [status for status, _, _ in answers]
-        assert statuses == ([502] if site == "answer-read"
-                            and fault is OSError else [])
-        assert len(merchant.ledger) == claimed
-        if site in ("decode", "ed25519"):  # check did not finish
-            assert body not in gw._memo
-        # the same body, once the fault is lifted, is decided afresh
+        assert statuses == ([502] if fault is OSError
+                            and site in ("connect", "send", "answer-read")
+                            else [])
+        assert len(merchant.ledger) == reached
+        assert (body in gw._memo) == checked
+        # the same body, once the fault is lifted, is decided afresh; a
+        # claimed nonce stays burnt
         assert [_post(f"{gw.base_url}/execute", body)[0]
                 for _ in range(2)] == [403 if claimed else 200, 403]
-        assert merchant.ledger.count(request.mandate.mandate_id) == 1
+        assert merchant.ledger.count(request.mandate.mandate_id) == (
+            reached or not claimed)
         # and no handler thread was lost
         assert _post_request(gw.base_url,
                              make_request(now=gw.clock.now_ms()))[0] == 200
@@ -1580,18 +1610,47 @@ def test_head_at_the_limits_is_read(pooled_gateway, path, fields):
         [200 if path == b"/healthz" else 404]
 
 
-def test_head_at_both_limits_is_read_in_linear_time(idle_gateway):
-    # 100 header lines, 99 of MAX_LINE bytes with their CRLF (6.5 MB): a
-    # reader that rescans the whole head after each read spends seconds of
-    # CPU on it
+def _head_at_both_limits() -> bytes:
+    """100 header lines, 99 of MAX_LINE bytes with their CRLF (6.5 MB)."""
     line = b"X-A: " + b"b" * (MAX_LINE - 7) + b"\r\n"
-    head = (b"GET /healthz HTTP/1.1\r\n" + line * (MAX_HEADERS - 1) +
+    return (b"GET /healthz HTTP/1.1\r\n" + line * (MAX_HEADERS - 1) +
             b"Connection: close\r\n\r\n")
+
+
+def test_head_at_both_limits_is_read_in_linear_time(idle_gateway):
+    # a reader that rescans the whole head after each read spends seconds of
+    # CPU on it
     started = time.process_time()
-    responses = _exchange(idle_gateway, head)
+    responses = _exchange(idle_gateway, _head_at_both_limits())
     spent = time.process_time() - started
     assert [status for status, _, _ in responses] == [200]
     assert spent < 1
+
+
+class _ScanCounting(bytearray):
+    """A buffer that adds up the bytes each ``find`` scans: up to and
+    including the match, or to the end."""
+
+    scanned = 0
+
+    def find(self, sub, start=0):
+        found = super().find(sub, start)
+        self.scanned += (found + len(sub) if found >= 0 else len(self)) - start
+        return found
+
+
+def test_reader_scans_each_head_byte_once():
+    # fed 8 KB at a time; a reader that rescans from the head's start on
+    # each call scans it hundreds of times over, and still in well under
+    # the CPU second the test above allows
+    head = _head_at_both_limits()
+    reader = gateway_module._Reader(gateway_module._REQUEST_LINE)
+    reader.buffer = buffer = _ScanCounting()
+    for begin in range(0, len(head), gateway_module.RECV_SIZE):
+        assert reader.head() is None
+        reader.buffer += head[begin:begin + gateway_module.RECV_SIZE]
+    assert reader.head()[0][0] == "GET /healthz HTTP/1.1"
+    assert buffer.scanned == len(head)
 
 
 # start lines, each with the pattern that takes it (None: neither does)

@@ -266,6 +266,43 @@ def test_engines_interoperate(issuer, context):
     assert ENGINE.verify(issuer.public_key, oracle_key.sign(message), message)
 
 
+# RFC 8032 §7.1, TEST 1, 2 and 3: (secret key, public key, message, signature)
+_RFC8032_VECTORS = [
+    ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+     "",
+     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+     "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"),
+    ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+     "72",
+     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+     "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"),
+    ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+     "af82",
+     "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+     "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"),
+]
+
+
+@pytest.mark.parametrize("seed, public_key, message, signature",
+                         _RFC8032_VECTORS, ids=["test-1", "test-2", "test-3"])
+def test_signing_matches_rfc8032(seed, public_key, message, signature):
+    # known bytes, not only a signature that verifies: Ed25519 signing is
+    # deterministic
+    key = IssuerKey.from_seed("k", bytes.fromhex(seed))
+    assert key.public_key.hex() == public_key
+    assert key.sign(bytes.fromhex(message)).hex() == signature
+
+
+def test_issuer_key_repr_hides_its_seed():
+    seed = bytes(range(32))
+    text = repr(IssuerKey.from_seed("issuer-7", seed))
+    assert "issuer-7" in text
+    assert repr(seed) not in text and seed.hex() not in text
+
+
 @given(fields=st.tuples(*[st.text(min_size=1)] * 4))
 def test_context_hash_is_sha256_of_the_framed_fields(fields):
     # oracle: hashlib's SHA-256 over each field's UTF-8 behind its length

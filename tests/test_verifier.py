@@ -322,6 +322,15 @@ def test_config_validation():
             VerifierConfig(window=bad)
         with pytest.raises(ValueError, match="skew_tolerance"):
             VerifierConfig(skew_tolerance=bad)
+    # not numbers, and an integer too large for a float
+    for bad, problem in ((True, "a number"), ("60", "a number"),
+                         (None, "a number"), (10**400, "finite")):
+        with pytest.raises(ValueError, match=f"window must be {problem}"):
+            VerifierConfig(window=bad)
+        with pytest.raises(ValueError,
+                           match=f"skew_tolerance must be {problem}"):
+            VerifierConfig(skew_tolerance=bad)
+    assert VerifierConfig(window=5) == VerifierConfig(window=5.0)
     # the registry stores expiries of at most MAX_TTL_MS ahead
     for window, skew in ((MAX_TTL_MS / 1000, 0), (60, MAX_TTL_MS / 2000)):
         with pytest.raises(ValueError, match="window"):
