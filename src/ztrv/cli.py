@@ -85,12 +85,12 @@ def _ensure_out_dir(path_text: str) -> None:
         raise UsageError(f"--out {path_text} is not writable")
 
 
-def _check_replays(args) -> None:
-    # the cross-context and redirect scenarios each take --replays distinct
-    # mandates out of the --n legitimate ones
-    if args.replays > args.n:
-        raise UsageError(f"--replays ({args.replays}) must not exceed "
-                         f"--n ({args.n})")
+def _check_requests(flag: str, rates: list[float], duration: float) -> None:
+    # a workload holds round(rate x duration) requests, as simharness counts
+    for rate in rates:
+        if round(rate * duration) < 1:
+            raise UsageError(f"{flag} {rate:g} x --duration {duration:g} "
+                             "must round to at least one request")
 
 
 def _write_report(args, experiment: str, items_key: str, items: list,
@@ -163,14 +163,23 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_attack_eval(args) -> int:
+def _attack_reports(args, modes: list[Mode]) -> list:
+    """Run attack_eval over ``modes`` with the attack flags, into --out."""
     from .simharness import attack_eval
-    _check_replays(args)
+    # the cross-context and redirect scenarios each take --replays distinct
+    # mandates out of the --n legitimate ones
+    if args.replays > args.n:
+        raise UsageError(f"--replays ({args.replays}) must not exceed "
+                         f"--n ({args.n})")
     _ensure_out_dir(args.out)
+    return attack_eval(modes, n=args.n, seed=args.seed,
+                       replay_count=args.replays,
+                       concurrency=args.concurrency)
+
+
+def cmd_attack_eval(args) -> int:
     mode = Mode(args.mode)
-    reports = attack_eval([mode], n=args.n, seed=args.seed,
-                          replay_count=args.replays,
-                          concurrency=args.concurrency)
+    reports = _attack_reports(args, [mode])
     rows = []
     for report in reports:
         rows.append([report.scenario, _pct(report.interception_rate),
@@ -184,12 +193,8 @@ def cmd_attack_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    from .simharness import AttackKind, attack_eval, interception_matrix
-    _check_replays(args)
-    _ensure_out_dir(args.out)
-    reports = attack_eval(list(Mode), n=args.n, seed=args.seed,
-                          replay_count=args.replays,
-                          concurrency=args.concurrency)
+    from .simharness import AttackKind, interception_matrix
+    reports = _attack_reports(args, list(Mode))
     matrix = interception_matrix(reports)
     scenarios = [k.value for k in AttackKind]
     rows = [[mode] + [f"{matrix[mode][s]:.2f}" for s in scenarios]
@@ -201,11 +206,7 @@ def cmd_ablation(args) -> int:
 
 def cmd_ttl_sweep(args) -> int:
     from .simharness import ttl_sweep
-    # the workload holds round(rate x duration) requests, as simharness counts
-    total = round(args.rate * args.duration)
-    if total < 1:
-        raise UsageError("--rate x --duration must round to at least one "
-                         "request")
+    _check_requests("--rate", [args.rate], args.duration)
     _ensure_out_dir(args.out)
     points = ttl_sweep(args.windows, rate=args.rate, duration=args.duration,
                        seed=args.seed)
@@ -214,7 +215,8 @@ def cmd_ttl_sweep(args) -> int:
         # the claims of the last nonce TTL (the window plus 1 ms) are live,
         # up to the whole workload
         ttl_ms = VerifierConfig(window=point.window).nonce_ttl_ms
-        expected = min(math.ceil(args.rate * ttl_ms / 1000), total)
+        expected = min(math.ceil(args.rate * ttl_ms / 1000),
+                       round(args.rate * args.duration))
         rows.append([f"{point.window:g}", str(point.peak_entries),
                      str(expected), f"{point.bytes_estimate / 1e6:.2f} MB"])
     print(f"rate={args.rate:g}/s  duration={args.duration:g}s  seed={args.seed}")
@@ -226,6 +228,7 @@ def cmd_ttl_sweep(args) -> int:
 
 def cmd_throughput(args) -> int:
     from .simharness import capacity_probe, throughput_bench
+    _check_requests("--rates", args.rates, args.duration)
     _ensure_out_dir(args.out)
     points = [capacity_probe(concurrency=args.concurrency, seed=args.seed)]
     points += throughput_bench(args.rates, duration=args.duration,
@@ -384,7 +387,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure, by contract exit 2
         print(f"ztrv: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

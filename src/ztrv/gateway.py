@@ -117,7 +117,7 @@ def parse_upstream_url(url: str) -> tuple[bool, str, int, bytes]:
     ``tls`` is true for https.  ``head`` is the forwarded request's head up
     to the Content-Length value: an HTTP/1.0 POST to the URL's path and
     query.  Raises ConfigError unless ``url`` is an http(s) URL with a host
-    whose characters all fit in a request line.
+    whose characters all fit in a request line, and a port other than 0.
     """
     error = ConfigError("upstream_url must be an http(s) URL")
     if _URL.fullmatch(url) is None:
@@ -129,6 +129,8 @@ def parse_upstream_url(url: str) -> tuple[bool, str, int, bytes]:
         raise error from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise error
+    if port == 0:  # not "no port": that would forward to 80 or 443
+        raise ConfigError("upstream_url port must not be 0")
     tls = parts.scheme == "https"
     target = parts.path or "/"
     if parts.query:
@@ -635,7 +637,8 @@ def _read_answer(conn: socket.socket, deadline: float,
     """``(status, body)`` of the answer to a request sent on ``conn``.
 
     The request was HTTP/1.0, so the answer is not chunked (RFC 9112 §6.1):
-    its body ends after its one Content-Length, or where ``conn`` ends.
+    its body ends after its one Content-Length, or where ``conn`` ends.  A
+    204 or 304 answer has no body, whatever its head says (§6.3).
     None means the answer cannot be read: a status line other than
     ``HTTP/1.x`` and a final status, a head _Reader or _framed_length
     cannot read, a body shorter than its length, or one longer than
@@ -646,15 +649,18 @@ def _read_answer(conn: socket.socket, deadline: float,
     if not answer:
         return None
     status, fields = answer
+    code = int(status[1])
+    if code in (204, 304):
+        return code, b""
     length = _framed_length(fields)
     if length is None or length > ANSWER_LIMIT:
         return None
     if length < 0:  # the body ends where conn does, unless it is too long
         if _read(conn, reader, deadline, reader.body, ANSWER_LIMIT + 1):
             return None
-        return int(status[1]), bytes(reader.buffer)
+        return code, bytes(reader.buffer)
     body = _read(conn, reader, deadline, reader.body, length)
-    return None if body is None else (int(status[1]), body)
+    return None if body is None else (code, body)
 
 
 # ---------------------------------------------------------------------------

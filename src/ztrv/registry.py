@@ -128,8 +128,10 @@ class NonceRegistry:
             # a claim dated before the high-water time is taken at that time
             if self._high_water is not None and now < self._high_water:
                 now = self._high_water
-            else:
-                self._high_water = now
+            # an instant or expiry it cannot store raises here, before the
+            # high-water time or any entry changes
+            record = _RECORD.pack(digest, now + ttl_ms)
+            self._high_water = now
             self._evict_locked(now)
             bucket = self._buckets[index]
             at = -1 if bucket is None else bucket.find(digest)
@@ -139,8 +141,6 @@ class NonceRegistry:
                 return False
             if last_fresh is not None and now > last_fresh:
                 return None
-            # an expiry too large to store raises here, before anything is stored
-            record = _RECORD.pack(digest, now + ttl_ms)
             if at >= 0:
                 # expired but stored behind a live entry of a longer TTL:
                 # the record takes the new expiry and keeps its ring entry

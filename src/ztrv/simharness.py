@@ -82,11 +82,11 @@ class TimedRequest:
 
 @dataclass(frozen=True)
 class SimReport:
-    scenario: str  # AttackKind value, or "legitimate" for attack-free runs
+    scenario: str  # AttackKind value
     mode: str
     attacks_launched: int
     attacks_intercepted: int
-    interception_rate: float  # 0.0 when no attacks were launched
+    interception_rate: float
     legit_sent: int
     legit_accepted: int
     false_positive_rate: float
@@ -260,11 +260,11 @@ def _verify_waves(waves: list[list[list[TimedRequest]]],
     return decisions, last_done - t0
 
 
-def run_experiment(mode: Mode, scenario: AttackScenario | None,
+def run_experiment(mode: Mode, scenario: AttackScenario,
                    workload: list[TimedRequest], keystore: Keystore,
                    concurrency: int = DEFAULT_CONCURRENCY) -> SimReport:
-    """Drive ``workload``, with ``scenario``'s attacks (None: no attacks)
-    derived from it, through an in-process verifier on a fresh registry.
+    """Drive ``workload``, with ``scenario``'s attacks derived from it,
+    through an in-process verifier on a fresh registry.
 
     Requests sharing a timestamp form a wave, raced concurrently through a
     worker pool and verified at that timestamp; waves run in time order, one
@@ -272,11 +272,7 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None,
     even under that concurrency, because every race the schedule leaves open
     is one the verifier resolves identically regardless of interleaving.
     """
-    if scenario is None:
-        legit, attacks = workload, []
-    else:
-        legit, attacks = inject_attack(scenario, workload)
-
+    legit, attacks = inject_attack(scenario, workload)
     items = sorted(legit + attacks, key=lambda it: it.at_ms)
     config = VerifierConfig(mode=mode)
     registry = NonceRegistry()
@@ -292,26 +288,22 @@ def run_experiment(mode: Mode, scenario: AttackScenario | None,
     if len(decisions) != len(items):
         raise RuntimeError(f"{len(decisions)} decisions for "
                            f"{len(items)} requests")
-    outcomes = [(item.is_attack, decision.accepted)
-                for item, decision in zip(items, decisions)]
-    attacks_launched = sum(is_attack for is_attack, _ in outcomes)
-    attacks_intercepted = sum(is_attack and not accepted
-                              for is_attack, accepted in outcomes)
-    legit_sent = len(outcomes) - attacks_launched
-    legit_accepted = sum(accepted and not is_attack
-                         for is_attack, accepted in outcomes)
+    attacks_intercepted = sum(item.is_attack and not decision.accepted
+                              for item, decision in zip(items, decisions))
+    legit_accepted = sum(decision.accepted and not item.is_attack
+                         for item, decision in zip(items, decisions))
 
     return SimReport(
-        scenario=scenario.kind.value if scenario else "legitimate",
+        scenario=scenario.kind.value,
         mode=mode.value,
-        attacks_launched=attacks_launched,
+        attacks_launched=len(attacks),
         attacks_intercepted=attacks_intercepted,
-        interception_rate=(attacks_intercepted / attacks_launched
-                           if attacks_launched else 0.0),
-        legit_sent=legit_sent,
+        interception_rate=attacks_intercepted / len(attacks),
+        legit_sent=len(legit),
         legit_accepted=legit_accepted,
-        false_positive_rate=(1.0 - legit_accepted / legit_sent
-                             if legit_sent else 0.0),
+        # a harvest of the whole stream leaves no legitimate request
+        false_positive_rate=(1.0 - legit_accepted / len(legit)
+                             if legit else 0.0),
         stage_latency_percentiles=summarize_timings(decisions),
         registry_stats=registry.stats(),
     )

@@ -65,6 +65,8 @@ def test_unknown_flag():
     # windows VerifierConfig refuses, before any workload is generated
     ["ttl-sweep", "--windows", "0.0001"],
     ["ttl-sweep", "--windows", "2e12"],
+    # a rate that rounds to no request, refused before the capacity probe
+    ["throughput", "--rates", "100,0.4", "--duration", "1"],
 ])
 def test_bad_flag_values_exit_one(argv):
     assert main(argv) == 1

@@ -197,6 +197,9 @@ def test_load_config_rejects_bad_values(tmp_path):
     ("listen_address", "[::1]:8080"),  # the listener is IPv4 only
     ("listen_address", "::1:8080"),
     ("upstream_url", "ftp://nope"),
+    # no port would forward to 80 or 443, port 0 must not
+    ("upstream_url", "http://127.0.0.1:0/x"),
+    ("upstream_url", "https://127.0.0.1:0/x"),
 ])
 def test_gateway_config_validates_on_construction(key, value):
     # the same checks as load_config, for a config built in Python
@@ -1083,12 +1086,15 @@ class _FakeUpstream:
     it with ``answer``, sent as is, then closes the connection.
 
     With ``interval`` set, the answer is sent a byte at a time, ``interval``
-    seconds apart.
+    seconds apart.  With ``hold``, the connection is closed only once the
+    gateway has closed its end.
     """
 
-    def __init__(self, answer: bytes, interval: float = 0.0):
+    def __init__(self, answer: bytes, interval: float = 0.0,
+                 hold: bool = False):
         self._answer = answer
         self._interval = interval
+        self._hold = hold
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/pay?x=1"
         self.requests: list[bytes] = []
@@ -1111,6 +1117,8 @@ class _FakeUpstream:
                             conn.sendall(bytes([byte]))
                     else:
                         conn.sendall(self._answer)
+                    if self._hold:
+                        conn.recv(1)
                 except OSError:
                     pass  # the gateway gave up on the answer
 
@@ -1140,8 +1148,9 @@ class _FakeUpstream:
 def fake_upstream():
     upstreams = []
 
-    def _make(answer: bytes, interval: float = 0.0) -> _FakeUpstream:
-        upstreams.append(_FakeUpstream(answer, interval))
+    def _make(answer: bytes, interval: float = 0.0,
+              hold: bool = False) -> _FakeUpstream:
+        upstreams.append(_FakeUpstream(answer, interval, hold))
         return upstreams[-1]
 
     yield _make
@@ -1241,6 +1250,27 @@ def test_upstream_deadline_covers_the_whole_answer(keystore, make_request,
         status, _, _ = _post_request(gw.base_url, request)
         assert status == 502
         assert time.monotonic() - started < 4 * SHORT_TIMEOUT_S
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 204 No Content\r\n\r\n",
+    b"HTTP/1.1 304 Not Modified\r\nContent-Length: 9\r\n\r\n",
+], ids=["204", "304-with-length"])
+def test_an_answer_without_a_body_ends_at_its_head(keystore, make_request,
+                                                   fake_upstream, monkeypatch,
+                                                   answer):
+    # the upstream holds the connection open: the answer must not be read
+    # to its end
+    monkeypatch.setattr(gateway_module, "UPSTREAM_TIMEOUT_S",
+                        2 * SHORT_TIMEOUT_S)
+    upstream = fake_upstream(answer, hold=True)
+    with _gateway_to(upstream.url, keystore) as gw:
+        request = make_request(now=gw.clock.now_ms())
+        started = time.monotonic()
+        status, body, headers = _post_request(gw.base_url, request)
+        assert time.monotonic() - started < SHORT_TIMEOUT_S
+    assert (status, body) == (int(answer[9:12]), b"")
+    assert headers.get("X-ZTRV-Decision") == "ACCEPT"
 
 
 def test_https_upstream_is_never_sent_in_clear(keystore, make_request,
@@ -1439,6 +1469,35 @@ def test_every_open_keepalive_connection_is_served(keystore):
                and time.monotonic() < deadline):
             time.sleep(0.01)
         assert len(service._workers) == HANDLER_THREADS
+
+
+def test_a_connection_waits_for_a_worker_when_none_can_start(monkeypatch,
+                                                             caplog):
+    # out of threads: the connection past the busy workers waits in the
+    # backlog until one of them is free
+    def failing_start(thread):
+        raise RuntimeError("can't start new thread")
+
+    with MockMerchant() as service:
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        conns = [_connect(service) for _ in range(HANDLER_THREADS + 1)]
+        try:
+            for conn in conns[:HANDLER_THREADS]:
+                conn.request("GET", "/ledger")
+                assert conn.getresponse().read() == b'{"entries": []}'
+            waiting = conns[HANDLER_THREADS]
+            waiting.request("GET", "/ledger")
+            waiting.sock.settimeout(SHORT_TIMEOUT_S)
+            with pytest.raises(TimeoutError):
+                waiting.sock.recv(1, socket.MSG_PEEK)
+            waiting.sock.settimeout(10 * SHORT_TIMEOUT_S)
+            conns[0].close()
+            assert waiting.getresponse().read() == b'{"entries": []}'
+        finally:
+            for conn in conns:
+                conn.close()
+    assert any("cannot start a handler thread" in record.getMessage()
+               for record in caplog.records)
 
 
 def test_fresh_connections_start_no_threads(pooled_gateway, monkeypatch):

@@ -2,6 +2,7 @@ import bisect
 import gc
 import hashlib
 import random
+import struct
 import sys
 import threading
 import tracemalloc
@@ -128,6 +129,19 @@ def test_claim_of_another_key_raises_the_high_water_time():
     assert reg.consume_once("k", 100, 1_000, 4_000) is None
     assert reg.consume_once("k", 100, 1_000, 5_000) is True
     assert expiry_of(reg, "k") == 6_000
+
+
+@pytest.mark.parametrize("instant", [1_000 + 10.5, 2 ** 63 - 10],
+                         ids=["float-instant", "expiry-past-8-bytes"])
+def test_a_claim_it_cannot_store_changes_nothing(instant):
+    reg = NonceRegistry()
+    assert reg.consume_once("a", 1_000, 100)
+    before = reg._records()
+    with pytest.raises(struct.error):
+        reg.consume_once("b", instant, 100)
+    assert reg._records() == before
+    assert reg.consume_once("a", 1_001, 100) is False
+    assert reg.consume_once("c", 1_001, 100) is True
 
 
 @settings(max_examples=200, deadline=None)

@@ -245,16 +245,18 @@ def test_run_experiment_pool_has_the_requested_workers(monkeypatch):
 
 
 def test_legit_only_zero_fpr_all_modes():
+    # the legitimate traffic of every attack run is accepted in full
     workload = gen_legit_workload(5, 10, seed=2)
     keystore = Keystore.for_issuers(sim_issuer(2))
     for mode in Mode:
-        report = run_experiment(mode, None, workload, keystore)
-        assert report.scenario == "legitimate"
-        assert report.legit_sent == 50
-        assert report.legit_accepted == 50
-        assert report.false_positive_rate == 0.0
-        assert report.attacks_launched == 0
-        assert report.interception_rate == 0.0
+        for kind in AttackKind:
+            scenario = AttackScenario(kind=kind, replay_count=5, seed=3)
+            report = run_experiment(mode, scenario, workload, keystore)
+            # same-context replay resubmits one request; the others
+            # harvest five of the fifty
+            expected = 50 if kind is AttackKind.SAME_CONTEXT_REPLAY else 45
+            assert report.legit_sent == report.legit_accepted == expected
+            assert report.false_positive_rate == 0.0
 
 
 def test_run_experiment_reproducible_scalars():
@@ -429,9 +431,12 @@ def test_write_report_files(tmp_path, capsys):
 
 
 def test_sim_report_json_dict_roundtrips():
-    report = run_experiment(Mode.FULL, None, gen_legit_workload(5, 2, seed=17),
+    scenario = AttackScenario(kind=AttackKind.CONTEXT_REDIRECT,
+                              replay_count=3, seed=18)
+    report = run_experiment(Mode.FULL, scenario,
+                            gen_legit_workload(5, 2, seed=17),
                             Keystore.for_issuers(sim_issuer(17)))
     obj = dataclasses.asdict(report)  # as the command line writes it
-    assert obj["scenario"] == "legitimate"
+    assert obj["scenario"] == "context-redirect"
     assert obj["registry_stats"]["live_count"] == report.registry_stats.live_count
     json.dumps(obj)  # must be JSON-serializable as-is
